@@ -3,8 +3,9 @@
 Subcommands wrap the library: root, tau, raster, threshold, jump,
 fractal-check, staircase.  Outputs are JSON on stdout plus optional PPM,
 CSV and legend files for rasters.  Exit codes: 0 success, 1 usage,
-2 parse error, 3 test ideal chain not stabilized, 4 resource limit,
-5 fractal identity check failed.
+2 parse error, 3 test ideal chain not stabilized, 4 resource limit (Groebner
+budget, an exponent or Frobenius level beyond a machine word, or a capped
+containment search), 5 fractal identity check failed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .testideal import (
     IdealFamily,
     NotStabilizedError,
     TauConfig,
+    UnboundedError,
     f_threshold,
     jumping_scan,
     tau_mixed,
@@ -103,13 +105,11 @@ def _inner_ideal(args, ring: Ring) -> IdealGens:
 
 
 def _tau_config(args) -> TauConfig:
-    kw = {}
+    kw = {"limits": _limits(args)}
     if getattr(args, "e_max", None) is not None:
         kw["e_max"] = args.e_max
     if getattr(args, "window", None) is not None:
         kw["confirm_window"] = args.window
-    if getattr(args, "max_pairs", None) is not None:
-        kw["limits"] = GroebnerLimits(max_pairs=args.max_pairs)
     return TauConfig(**kw)
 
 
@@ -124,10 +124,9 @@ def _emit(obj) -> None:
 
 
 def _ideal_json(ring: Ring, I: IdealGens, limits: GroebnerLimits) -> dict:
-    gb = buchberger(I, limits)
     return {
         "ring": {"p": ring.p, "vars": list(ring.vars)},
-        "gens": [g.to_str() for g in gb.basis],
+        "gens": [g.to_str() for g in buchberger(I, limits).gens],
     }
 
 
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
     except NotStabilizedError as err:
         sys.stderr.write(f"not stabilized: {err}\n")
         return 3
-    except ResourceLimitError as err:
+    except (ResourceLimitError, OverflowError, UnboundedError) as err:
         sys.stderr.write(f"resource limit: {err}\n")
         return 4
     except ValueError as err:

@@ -1,7 +1,8 @@
 """Groebner bases over F_p under grevlex, and the ideal predicates built on them.
 
 The reduced basis is the canonical identity of an ideal here: membership,
-equality, colon ideals and the printable ideal key all go through it.
+equality and the printable ideal key all go through it, and each IdealGens
+keeps its own once computed.
 Buchberger's algorithm with the normal pair-selection strategy is used
 throughout; everything is deterministic.
 """
@@ -89,68 +90,30 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], key, want_quotients: 
     return rem
 
 
-class ReducedGB:
-    """The reduced Groebner basis of an ideal: monic, auto-reduced, canonically ordered.
-
-    Basis order is the byte order of the compact printed generators, which is
-    also the order used to form the ideal key.  The unit ideal has basis (1,)
-    and the zero ideal has an empty basis.
-    """
-
-    __slots__ = ("ring", "basis", "_monomial_only")
-
-    def __init__(self, ring: Ring, basis: Sequence[Polynomial]):
-        self.ring = ring
-        self.basis = tuple(basis)
-        self._monomial_only = all(len(g.terms) == 1 for g in self.basis)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.basis
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self)
-
-    def contains(self, f: Polynomial) -> bool:
-        return reduces_to_zero(f, self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReducedGB):
-            return NotImplemented
-        return self.ring == other.ring and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.basis))
-
-    def __repr__(self) -> str:
-        return f"ReducedGB[{ideal_key(self)}]"
-
-
-def normal_form(f: Polynomial, basis) -> Polynomial:
-    """Remainder of f under division by a basis (ReducedGB or polynomial list)."""
-    divisors = basis.basis if isinstance(basis, ReducedGB) else tuple(basis)
-    divisors = [d for d in divisors if not d.is_zero]
-    if not divisors or f.is_zero:
+def normal_form(f: Polynomial, I: IdealGens,
+                limits: GroebnerLimits = DEFAULT_LIMITS) -> Polynomial:
+    """Remainder of f under division by the reduced basis of I."""
+    basis = buchberger(I, limits).gens
+    if not basis or f.is_zero:
         return f
-    return _divide(f, divisors, grevlex_key, want_quotients=False)
+    return _divide(f, basis, grevlex_key, want_quotients=False)
 
 
-def reduces_to_zero(f: Polynomial, gb: ReducedGB) -> bool:
+def reduces_to_zero(f: Polynomial, I: IdealGens,
+                    limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+    """Whether f lies in I: its normal form against the reduced basis vanishes."""
     if f.is_zero:
         return True
-    if gb.is_zero:
+    basis = buchberger(I, limits).gens
+    if not basis:
         return False
-    if gb._monomial_only:
+    if all(len(g.terms) == 1 for g in basis):
         # Remainder just filters terms; only existence of a survivor matters.
-        lms = [g.leading_monomial() for g in gb.basis]
+        lms = [g.leading_monomial() for g in basis]
         return not any(
             all(not _divides(lm, exps) for lm in lms) for exps in f.terms
         )
-    return normal_form(f, gb).is_zero
+    return normal_form(f, I, limits).is_zero
 
 
 def _buchberger_core(polys: list[Polynomial], key, limits: GroebnerLimits) -> list[Polynomial]:
@@ -222,50 +185,46 @@ def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
     return reduced
 
 
-def buchberger(I, limits: GroebnerLimits = DEFAULT_LIMITS) -> ReducedGB:
-    """Reduced grevlex Groebner basis of an ideal (IdealGens or generator list)."""
-    if isinstance(I, ReducedGB):
-        return I
-    gens = list(I.gens) if isinstance(I, IdealGens) else [g for g in I if not g.is_zero]
-    if not gens:
-        ring = I.ring if isinstance(I, IdealGens) else None
-        if ring is None:
-            raise ValueError("cannot infer ring from an empty generator list")
-        return ReducedGB(ring, ())
-    ring = gens[0].ring
-    if any(g.is_constant for g in gens):
-        return ReducedGB(ring, (ring.one(),))
-    raw = _buchberger_core(gens, grevlex_key, limits)
-    return ReducedGB(ring, _reduce_basis(raw, grevlex_key))
+def buchberger(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> IdealGens:
+    """The reduced grevlex Groebner basis of I, as the ideal it generates.
+
+    Computed on the first call and kept on I; later calls return it without
+    work, whatever their limits.  The result is its own reduced basis, so
+    buchberger(buchberger(I)) is buchberger(I).  Its gens (= basis) are monic,
+    auto-reduced and in the byte order of their compact printed form, which
+    is also the order of the ideal key.  The unit ideal has basis (1,) and
+    the zero ideal an empty basis.
+    """
+    if I._reduced is None:
+        ring = I.ring
+        if not I.gens:
+            basis = ()
+        elif I.has_unit_generator():
+            basis = (ring.one(),)
+        else:
+            raw = _buchberger_core(list(I.gens), grevlex_key, limits)
+            basis = tuple(_reduce_basis(raw, grevlex_key))
+        reduced = I if basis == I.gens else IdealGens(ring, basis)
+        reduced._reduced = reduced
+        I._reduced = reduced
+    return I._reduced
 
 
-def ideal_key(I, limits: GroebnerLimits = DEFAULT_LIMITS) -> str:
+def ideal_key(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> str:
     """Canonical string identity of an ideal: printed reduced basis joined by ';'.
 
     Equal ideals always produce byte-identical keys; the zero ideal gives ''.
     """
-    gb = I if isinstance(I, ReducedGB) else buchberger(I, limits)
-    return ";".join(g.to_str(compact=True) for g in gb.basis)
+    return ";".join(g.to_str(compact=True) for g in buchberger(I, limits).gens)
 
 
-def ideal_member(f: Polynomial, I, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
-    gb = I if isinstance(I, ReducedGB) else buchberger(I, limits)
-    return reduces_to_zero(f, gb)
-
-
-def ideal_contains(I, J, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+def ideal_contains(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
     """Whether I contains J, i.e. every generator of J lies in I."""
-    gens = J.basis if isinstance(J, ReducedGB) else J.gens
-    if not gens:
-        return True
-    gb = I if isinstance(I, ReducedGB) else buchberger(I, limits)
-    return all(reduces_to_zero(g, gb) for g in gens)
+    return all(reduces_to_zero(g, I, limits) for g in J.gens)
 
 
-def ideal_equal(I, J, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
-    gb_i = I if isinstance(I, ReducedGB) else buchberger(I, limits)
-    gb_j = J if isinstance(J, ReducedGB) else buchberger(J, limits)
-    return gb_i.basis == gb_j.basis
+def ideal_equal(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+    return buchberger(I, limits).gens == buchberger(J, limits).gens
 
 
 # ------------------------------------------------------- colon via elimination

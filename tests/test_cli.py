@@ -65,11 +65,11 @@ def test_tau_command(capsys, c, gens):
 
 def test_tau_reparse_fixed_point(capsys, F3xy):
     """Canonical gens re-parse to the same reduced basis."""
-    from pfractal import buchberger, parse_polynomial
+    from pfractal import IdealGens, buchberger, parse_polynomial
     code, out, _ = run(capsys, "tau", "-p", "3", "-vars", "x,y",
                        "-ideal", "x+y", "-ideal", "x*y", "-c", "1,1")
     gens = json.loads(out)["gens"]
-    reparsed = buchberger([parse_polynomial(g, F3xy) for g in gens])
+    reparsed = buchberger(IdealGens(F3xy, [parse_polynomial(g, F3xy) for g in gens]))
     assert [g.to_str() for g in reparsed.basis] == gens
 
 
@@ -135,6 +135,22 @@ def test_resource_limit_exit_4(capsys):
                        "-ideal", "x^2+x*y;y^2+x*y", "-c", "1", "-max-pairs", "0")
     assert code == 4
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # q = 3^100 does not fit a machine word
+    ("root", "-p", "3", "-vars", "x", "x", "-e", "100"),
+    # the exponent does not fit a machine word
+    ("tau", "-p", "3", "-vars", "x", "-ideal", "x^99999999999999999999999", "-c", "1"),
+    # no power of (x) lies in (y): the containment search hits its cap
+    ("threshold", "-p", "3", "-vars", "x,y", "-ideal", "x", "-r", "1", "-Igen", "y",
+     "-e-max", "1"),
+], ids=["frob-level", "exponent", "unbounded"])
+def test_overflow_and_unbounded_exit_4(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_unknown_variable_is_parse_error(capsys):

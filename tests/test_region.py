@@ -23,6 +23,7 @@ from pfractal import (
     parse_polynomial,
     rasterize,
     region_membership,
+    reduces_to_zero,
     sample_chi,
     staircase_boundary,
     tau_mixed,
@@ -63,7 +64,7 @@ def test_chi_matches_tau_containment(staircase, maximal):
     for c in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3)),
               (Fraction(1), Fraction(1)), (Fraction(0), Fraction(0))):
         expected = 0 if all(
-            buchberger(maximal).contains(g) for g in tau_mixed(staircase, c).gens
+            reduces_to_zero(g, maximal) for g in tau_mixed(staircase, c).gens
         ) else 1
         assert chi(staircase, maximal, c) == expected
 
@@ -79,7 +80,7 @@ def test_chi_oracle_agrees_with_generic_path(staircase, maximal):
         c = (Fraction(rng.randint(0, 2 * q), q), Fraction(rng.randint(0, 2 * q), q))
         fast = oracle.chi(maximal, c)
         tau = tau_mixed(staircase, c)
-        slow = 0 if all(buchberger(maximal).contains(g) for g in tau.gens) else 1
+        slow = 0 if all(reduces_to_zero(g, maximal) for g in tau.gens) else 1
         assert fast == slow, c
 
 
@@ -122,6 +123,16 @@ def test_raster_matches_pointwise_tau(staircase):
             assert ideal_key(buchberger(t)) == r.key_at((i, j))
 
 
+def test_raster_non_principal_matches_pointwise_tau(F3xy):
+    # the windowed path: interned taus must still key every cell correctly
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y")])
+    r = rasterize(fam, Box((2,)), 1)
+    assert r.shape == (7,)
+    for i in range(7):
+        assert r.key_at((i,)) == ideal_key(tau_mixed(fam, (Fraction(i, 3),)))
+    assert r.palette == ("1", "x;y") and r.key_at((6,)) == "x;y"
+
+
 def test_raster_cell_not_stabilized(F3xy):
     # a 1-level budget can never confirm a window of 2, so the first cell trips
     fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y")])
@@ -143,6 +154,21 @@ def test_region_membership(staircase, maximal):
                                  [zero], maximal)
     # tau = (x,y) does not escape itself
     assert not region_membership(staircase, c, [maximal], maximal)
+
+
+def test_region_membership_matches_chi_off_the_p_adic_grid(staircase, maximal):
+    # c has a denominator prime to 3, so tau = (x, y) comes from the stabilization loop
+    ring = staircase.ring
+    c = (Fraction(1, 2), Fraction(3, 4))
+    ideals = [IdealGens.zero(ring), maximal, _ideal(ring, "x^2", "y"),
+              _ideal(ring, "x*y"), IdealGens.unit(ring)]
+    seen = set()
+    for others in ([ideals[0], ideals[2]], [ideals[3], ideals[0]], [ideals[0], maximal]):
+        for J in ideals:
+            want = all(chi(staircase, I, c) == 1 for I in others) and chi(staircase, J, c) == 0
+            assert region_membership(staircase, c, others, J) == want, (others, J)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_fractal_operator_identity_shift():

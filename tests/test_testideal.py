@@ -247,9 +247,9 @@ def test_f_threshold_staircase(staircase, maximal):
     res = f_threshold(staircase, (1, 1), maximal, 3)
     assert isinstance(res, FThresholdResult)
     assert [str(v) for v in res.values] == ["1/3", "5/9", "17/27"]
-    assert res.lower == Fraction(17, 27)
+    assert res.values[-1] == Fraction(17, 27)
     assert res.values[0] < res.values[1] < res.values[2]
-    assert res.lower <= res.upper
+    assert res.values[-1] <= res.upper
 
 
 def test_f_threshold_monotone_values(staircase, maximal):
