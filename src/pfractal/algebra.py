@@ -8,7 +8,7 @@ exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Exponents must stay inside a machine word.
 MAX_EXPONENT = (1 << 63) - 1
@@ -186,9 +186,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_coeff(self) -> int:
-        return self.terms.get((0,) * self.ring.arity, 0)
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -211,13 +208,6 @@ class Polynomial:
 
     def leading_monomial(self) -> tuple[int, ...]:
         return self.leading_term()[0]
-
-    def monic(self) -> "Polynomial":
-        lm, lc = self.leading_term()
-        if lc == 1:
-            return self
-        inv = pow(lc, self.ring.p - 2, self.ring.p)
-        return self._scale(inv)
 
     def _scale(self, c: int) -> "Polynomial":
         c %= self.ring.p
@@ -451,12 +441,6 @@ class IdealGens:
         if self._reduced is None:
             raise ValueError("reduced basis not computed yet; call groebner.buchberger")
         return self._reduced.gens
-
-    def __iter__(self) -> Iterator[Polynomial]:
-        return iter(self.gens)
-
-    def __len__(self) -> int:
-        return len(self.gens)
 
     def __eq__(self, other) -> bool:
         # Syntactic equality of generator lists; use groebner.ideal_equal for

@@ -277,14 +277,17 @@ def _add_family_args(sub) -> None:
                      help="family member: generators separated by ';' (repeatable)")
 
 
-def _add_config_args(sub, with_e_max=True) -> None:
-    if with_e_max:
-        sub.add_argument("-e-max", dest="e_max", type=int, default=None,
-                         help="stabilization search cap")
-    sub.add_argument("-window", type=int, default=None,
-                     help="consecutive equal levels required to accept stabilization")
+def _add_limit_args(sub) -> None:
     sub.add_argument("-max-pairs", dest="max_pairs", type=int, default=None,
                      help="Groebner pair budget before aborting")
+
+
+def _add_config_args(sub) -> None:
+    sub.add_argument("-e-max", dest="e_max", type=int, default=None,
+                     help="stabilization search cap")
+    sub.add_argument("-window", type=int, default=None,
+                     help="consecutive equal levels required to accept stabilization")
+    _add_limit_args(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_args(sp)
     sp.add_argument("poly", help="polynomial to take the root of")
     sp.add_argument("-e", type=int, required=True, help="root level, q = p^e")
-    sp.add_argument("-max-pairs", dest="max_pairs", type=int, default=None)
+    _add_limit_args(sp)
     sp.set_defaults(func=_cmd_root)
 
     sp = subs.add_parser("tau", help="mixed test ideal at an exponent vector")
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-Igen", action="append", help="generator of the target ideal (repeatable)")
     sp.add_argument("-e-max", dest="e_max", type=int, required=True,
                     help="number of levels to compute")
-    sp.add_argument("-max-pairs", dest="max_pairs", type=int, default=None)
+    _add_limit_args(sp)
     sp.set_defaults(func=_cmd_threshold)
 
     sp = subs.add_parser("jump", help="F-jumping numbers on a 1/p^k grid")

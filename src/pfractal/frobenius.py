@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import (
-    MAX_EXPONENT,
-    IdealGens,
-    Polynomial,
-    _is_prime,
-    poly_pow,
-    _pow_small,
-)
+from .algebra import MAX_EXPONENT, IdealGens, Polynomial, _is_prime
 
 
 @dataclass(frozen=True)
@@ -89,20 +82,3 @@ def ideal_bracket_root(b: IdealGens, level: FrobLevel) -> IdealGens:
     for g in b.gens:
         out.extend(poly_bracket_root(g, level).gens)
     return IdealGens(b.ring, out)
-
-
-def root_of_power(f: Polynomial, m: int, level: FrobLevel, naive: bool = False) -> IdealGens:
-    """Bracket root of f^m at the given level, without gratuitous expansion.
-
-    The default path expands f^m through base-p splitting of m, keeping the
-    intermediate product small.  With naive=True the power is built by plain
-    square-and-multiply instead, as a differential check of the fast path.
-    """
-    if f.is_zero:
-        raise ValueError("root of a power of the zero polynomial")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"power must be a non-negative integer, got {m!r}")
-    expanded = _pow_small(f, m) if naive else poly_pow(f, m)
-    if expanded.is_zero:
-        raise ValueError("root of the zero polynomial")
-    return poly_bracket_root(expanded, level)

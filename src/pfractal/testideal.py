@@ -46,48 +46,6 @@ class ZeroRegionError(ValueError):
     """The target ideal is the unit ideal, so no power of the family escapes it."""
 
 
-@dataclass(frozen=True)
-class PAdicRational:
-    """A non-negative rational num / p^e, stored normalized (p does not divide num unless e = 0)."""
-
-    p: int
-    num: int
-    e: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be at least 2, got {self.p}")
-        if self.num < 0 or self.e < 0:
-            raise ValueError("numerator and level must be non-negative")
-        num, e = self.num, self.e
-        while e > 0 and num % self.p == 0:
-            num //= self.p
-            e -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "e", e)
-
-    @classmethod
-    def from_fraction(cls, p: int, value) -> "PAdicRational":
-        value = as_fraction(value)
-        if value < 0:
-            raise ValueError(f"expected a non-negative rational, got {value}")
-        den = value.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
-        if den != 1:
-            raise ValueError(f"denominator of {value} is not a power of {p}")
-        return cls(p, value.numerator, e)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.p ** self.e)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
 class IdealFamily:
     """A finite ordered family of nonzero ideals in one ring.
 
@@ -133,15 +91,14 @@ class IdealFamily:
 
 @dataclass(frozen=True)
 class TauConfig:
-    e_start: int = 1
     e_max: int = 10
     confirm_window: int = 2
     degree_check: bool = False
     limits: GroebnerLimits = field(default_factory=GroebnerLimits)
 
     def __post_init__(self):
-        if self.e_start < 1 or self.e_max < self.e_start:
-            raise ValueError("need 1 <= e_start <= e_max")
+        if self.e_max < 1:
+            raise ValueError("e_max must be at least 1")
         if self.confirm_window < 1:
             raise ValueError("confirm_window must be at least 1")
 
@@ -180,6 +137,15 @@ def p_adic_level(point: Sequence[Fraction], p: int) -> int | None:
     return s
 
 
+def _product_of_powers(fam: IdealFamily, exponents: Sequence[int]) -> IdealGens:
+    """a_1^m_1 ... a_n^m_n, multiplied onto the unit ideal in family order."""
+    prod = IdealGens.unit(fam.ring)
+    for a_i, m_i in zip(fam.ideals, exponents):
+        if m_i:
+            prod = ideal_product(prod, ideal_power(a_i, m_i))
+    return prod
+
+
 def skoda_reduce(fam: IdealFamily, s) -> tuple[IdealGens, tuple[Fraction, ...]]:
     """Split tau(a^s) = factor * tau(a^residual) by peeling integer units.
 
@@ -188,59 +154,24 @@ def skoda_reduce(fam: IdealFamily, s) -> tuple[IdealGens, tuple[Fraction, ...]]:
     peeled ideal powers (the unit ideal when nothing peels).
     """
     point = fam.point(s)
-    factor = IdealGens.unit(fam.ring)
-    residual = []
-    for coord, m_i, a_i in zip(point, fam.gen_counts, fam.ideals):
-        if coord >= m_i:
-            k = _floor(coord - m_i) + 1
-            factor = ideal_product(factor, ideal_power(a_i, k))
-            residual.append(coord - k)
-        else:
-            residual.append(coord)
-    return factor, tuple(residual)
+    peeled = [_floor(c - m_i) + 1 if c >= m_i else 0 for c, m_i in zip(point, fam.gen_counts)]
+    residual = tuple(c - k for c, k in zip(point, peeled))
+    return _product_of_powers(fam, peeled), residual
 
 
-def reduce_to_single(fam: IdealFamily, r: Sequence[int], lam) -> tuple[IdealGens, Fraction]:
-    """Rewrite tau(a_1^(lam r_1) ... a_n^(lam r_n)) as tau(J^lam) with J the weighted product."""
+def _check_weights(fam: IdealFamily, r: Sequence[int]) -> None:
     if len(r) != fam.n:
         raise ValueError(f"expected {fam.n} weights, got {len(r)}")
     if any((not isinstance(x, int)) or x < 0 for x in r):
         raise ValueError("weights must be non-negative integers")
+
+
+def reduce_to_single(fam: IdealFamily, r: Sequence[int]) -> IdealGens:
+    """The weighted product J with tau(a_1^(t r_1) ... a_n^(t r_n)) = tau(J^t)."""
+    _check_weights(fam, r)
     if not any(r):
         raise ValueError("at least one weight must be positive")
-    lam = as_fraction(lam)
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    J = IdealGens.unit(fam.ring)
-    for a_i, r_i in zip(fam.ideals, r):
-        if r_i:
-            J = ideal_product(J, ideal_power(a_i, r_i))
-    return J, lam
-
-
-def tau_principal(f: Polynomial, lam) -> IdealGens:
-    """tau(f^lam) for a principal ideal and lam = m / p^e: one exact bracket root.
-
-    Valid for every representation of lam with a p-power denominator; the
-    chain is already stable at level e, so no search is needed.
-    """
-    if f.is_zero:
-        raise ValueError("principal test ideal of the zero polynomial")
-    p = f.ring.p
-    if not isinstance(lam, PAdicRational):
-        lam = PAdicRational.from_fraction(p, lam)
-    elif lam.p != p:
-        raise ValueError(f"exponent is {lam.p}-adic but the ring has characteristic {p}")
-    level = FrobLevel(p, lam.e)
-    return poly_bracket_root(poly_pow(f, lam.num), level)
-
-
-def _product_of_powers(fam: IdealFamily, exponents: Sequence[int]) -> IdealGens:
-    prod = IdealGens.unit(fam.ring)
-    for a_i, m_i in zip(fam.ideals, exponents):
-        if m_i:
-            prod = ideal_product(prod, ideal_power(a_i, m_i))
-    return prod
+    return _product_of_powers(fam, r)
 
 
 def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[Polynomial, int] | None:
@@ -303,8 +234,7 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
 
     prev_key: str | None = None
     streak = 0
-    last: IdealGens | None = None
-    for e in range(cfg.e_start, cfg.e_max + 1):
+    for e in range(1, cfg.e_max + 1):
         q = p ** e
         exponents = [_ceil(ci * q) for ci in point]
         prod = _product_of_powers(fam, exponents)
@@ -315,7 +245,6 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
         else:
             prev_key = key
             streak = 1
-        last = J
         if streak >= cfg.confirm_window:
             if cfg.degree_check:
                 # checked on the reduced basis: a violation means the window
@@ -362,10 +291,7 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, *,
     ideal (even m = 0 is contained) and UnboundedError when no containment
     shows up below the cap.
     """
-    if len(r) != fam.n:
-        raise ValueError(f"expected {fam.n} weights, got {len(r)}")
-    if any((not isinstance(x, int)) or x < 0 for x in r):
-        raise ValueError("weights must be non-negative integers")
+    _check_weights(fam, r)
     level = FrobLevel(fam.ring.p, e)
     contained = _containment_prober(fam, r, bracket_power(I, level), limits)
     if contained(0):
@@ -394,7 +320,7 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int, *,
         Fraction(v_number(fam, r, I, e, search_cap=search_cap, limits=limits), p ** e)
         for e in range(1, e_max + 1)
     )
-    J, _ = reduce_to_single(fam, list(r), 1)
+    J = reduce_to_single(fam, r)
     s_count = len(J.gens)
     contained = _containment_prober(fam, r, I, limits)
     l_min = _search_first_true(contained, "threshold bound search", search_cap)
@@ -421,7 +347,7 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     bound = as_fraction(bound)
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    J, _ = reduce_to_single(fam, list(r), 1)
+    J = reduce_to_single(fam, r)
     single = IdealFamily(fam.ring, (J,))
     q = fam.ring.p ** k
     top = _ceil(bound * q)

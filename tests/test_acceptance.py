@@ -144,7 +144,7 @@ def test_criterion_4_boundary_recursion(staircase, maximal, depth):
 
 # ---------------------------------------------------------------- criterion 5
 
-@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("e", [1, pytest.param(2, marks=pytest.mark.slow)])
 def test_criterion_5_fractal_identity(staircase, maximal, e):
     box = Box((1, 1))
     q = 3 ** e

@@ -15,8 +15,9 @@ from pfractal import (
     ideal_equal,
     parse_polynomial,
     poly_bracket_root,
-    root_of_power,
+    poly_pow,
 )
+from pfractal.algebra import _pow_small
 
 
 def _ideal(ring, *texts):
@@ -130,7 +131,7 @@ def test_root_of_power_naive_agrees(F3xy, m):
     lvl = FrobLevel(3, 2)
     for _ in range(10):
         f = _random_poly(F3xy, rng, deg=2, nterms=3)
-        assert root_of_power(f, m, lvl) == root_of_power(f, m, lvl, naive=True)
+        assert poly_bracket_root(poly_pow(f, m), lvl) == poly_bracket_root(_pow_small(f, m), lvl)
 
 
 def test_ring_mismatch_rejected(F3xy):

@@ -255,6 +255,15 @@ def test_digit_point():
         DigitPoint(3, ("",))
 
 
+def test_digit_point_bases_above_ten():
+    assert DigitPoint(11, ("5",)).value() == (Fraction(5, 11),)
+    assert DigitPoint(11, ("a",)).value() == (Fraction(10, 11),)
+    with pytest.raises(ValueError):
+        DigitPoint(11, ("b",))
+    with pytest.raises(ValueError):
+        DigitPoint(37, ("1",))
+
+
 def test_staircase_boundary_depths():
     assert [p.labels() for p in staircase_boundary(0)] == [("0.1", "0.2")]
     d1 = [p.labels() for p in staircase_boundary(1)]

@@ -10,7 +10,6 @@ from pfractal import (
     IdealFamily,
     IdealGens,
     NotStabilizedError,
-    PAdicRational,
     Polynomial,
     Ring,
     TauConfig,
@@ -27,12 +26,14 @@ from pfractal import (
     jumping_scan,
     p_adic_level,
     parse_polynomial,
+    poly_bracket_root,
+    poly_pow,
     reduce_to_single,
     skoda_reduce,
     tau_mixed,
-    tau_principal,
     v_number,
 )
+from pfractal.testideal import _principal_padic
 
 
 def _ideal(ring, *texts):
@@ -45,19 +46,6 @@ def _tau_key(fam, c):
 
 
 # ------------------------------------------------------------- p-adic plumbing
-
-def test_p_adic_rational():
-    r = PAdicRational.from_fraction(3, Fraction(5, 27))
-    assert (r.num, r.e) == (5, 3)
-    assert r.value == Fraction(5, 27)
-    norm = PAdicRational(3, 9, 2)
-    assert (norm.num, norm.e) == (1, 0)
-    assert PAdicRational.from_fraction(3, 2).e == 0
-    with pytest.raises(ValueError):
-        PAdicRational.from_fraction(3, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        PAdicRational(3, -1, 0)
-
 
 def test_p_adic_level():
     assert p_adic_level((Fraction(1, 3), Fraction(5, 9)), 3) == 2
@@ -82,15 +70,14 @@ def test_family_validation(F3xy):
 # ------------------------------------------------------------------ tau values
 
 def test_tau_principal_pure_power(F3xy):
-    f = parse_polynomial("x^3*y^2 + x^2*y^3", F3xy)
-    assert ideal_equal(tau_principal(f, Fraction(1, 3)), _ideal(F3xy, "x", "y"))
-    assert ideal_equal(tau_principal(f, Fraction(0)), _ideal(F3xy, "1"))
-    assert ideal_equal(tau_principal(f, PAdicRational(3, 1, 1)),
-                       _ideal(F3xy, "x", "y"))
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x^3*y^2 + x^2*y^3")])
+    assert ideal_equal(tau_mixed(fam, (Fraction(1, 3),)), _ideal(F3xy, "x", "y"))
+    assert ideal_equal(tau_mixed(fam, (Fraction(0),)), _ideal(F3xy, "1"))
+    assert ideal_equal(tau_mixed(fam, (1,)), fam.ideals[0])
+    # the exact shortcut applies only at p-adic points
+    assert _principal_padic(fam, (Fraction(1, 2),)) is None
     with pytest.raises(ValueError):
-        tau_principal(f, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        tau_principal(f, PAdicRational(5, 1, 1))
+        tau_mixed(fam, (Fraction(-1, 3),))
 
 
 @pytest.mark.parametrize("c,key", [
@@ -200,16 +187,15 @@ def test_skoda_two_generator_member(F3xy):
 
 
 def test_reduce_to_single(staircase):
-    J, lam = reduce_to_single(staircase, (2, 3), Fraction(1, 9))
+    J = reduce_to_single(staircase, (2, 3))
     f1 = staircase.ring.polynomial("x+y")
     f2 = staircase.ring.polynomial("x*y")
     expect = IdealGens(staircase.ring, [f1 * f1 * f2 * f2 * f2])
     assert ideal_equal(J, expect)
-    assert lam == Fraction(1, 9)
     with pytest.raises(ValueError):
-        reduce_to_single(staircase, (0, 0), Fraction(1))
+        reduce_to_single(staircase, (0, 0))
     with pytest.raises(ValueError):
-        reduce_to_single(staircase, (-1, 1), Fraction(1))
+        reduce_to_single(staircase, (-1, 1))
 
 
 # ------------------------------------------------------------------- v numbers
@@ -317,7 +303,7 @@ def test_tau_antitone_random(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tau_principal_representation_free(p):
-    """tau(f^(m/q)) from (m, q) equals tau at the reduced fraction."""
+    """tau(f^(m/q)) at the reduced fraction equals the root of f^m at the unreduced level."""
     ring = Ring(p, ["x", "y"])
     rng = random.Random(700 + p)
     for _ in range(25):
@@ -325,16 +311,14 @@ def test_tau_principal_representation_free(p):
         if f.is_constant:
             continue
         m = rng.randint(0, p ** 2)
-        lam = Fraction(m, p ** 2)
-        via_fraction = tau_principal(f, lam)
-        via_parts = tau_principal(f, PAdicRational(p, m, 2))
+        fam = IdealFamily(ring, [IdealGens(ring, [f])])
+        via_fraction = tau_mixed(fam, (Fraction(m, p ** 2),))
+        via_parts = poly_bracket_root(poly_pow(f, m), FrobLevel(p, 2))
         assert ideal_equal(via_fraction, via_parts)
 
 
 def test_tau_config_validation():
     with pytest.raises(ValueError):
-        TauConfig(e_start=0)
-    with pytest.raises(ValueError):
-        TauConfig(e_max=2, e_start=3)
+        TauConfig(e_max=0)
     with pytest.raises(ValueError):
         TauConfig(confirm_window=0)
