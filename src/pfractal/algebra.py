@@ -469,9 +469,15 @@ def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:
 
 
 def ideal_power(I: IdealGens, m: int) -> IdealGens:
-    """I^m by binary exponentiation on generator lists; I^0 is the unit ideal."""
+    """I^m; I^0 is the unit ideal.
+
+    A principal ideal is raised through poly_pow's base-p splitting; other
+    ideals by binary exponentiation on generator lists.
+    """
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"ideal power must be a non-negative integer, got {m!r}")
+    if len(I.gens) == 1:
+        return IdealGens(I.ring, (poly_pow(I.gens[0], m),))
     result = IdealGens.unit(I.ring)
     base = I
     while m:

@@ -17,13 +17,12 @@ from .algebra import IdealGens, Polynomial, Ring, grevlex_key
 
 
 class ResourceLimitError(RuntimeError):
-    """A Groebner computation exceeded its configured pair or degree cap."""
+    """A Groebner computation exceeded its configured pair cap."""
 
 
 @dataclass(frozen=True)
 class GroebnerLimits:
     max_pairs: int = 1_000_000
-    max_degree: int | None = None
 
 
 DEFAULT_LIMITS = GroebnerLimits()
@@ -141,12 +140,10 @@ def _buchberger_core(polys: list[Polynomial], key, limits: GroebnerLimits) -> li
 
     processed = 0
     while heap:
-        deg, _, i, j, lcm = heapq.heappop(heap)
+        _, _, i, j, lcm = heapq.heappop(heap)
         processed += 1
         if processed > limits.max_pairs:
             raise ResourceLimitError(f"pair limit {limits.max_pairs} exceeded")
-        if limits.max_degree is not None and deg > limits.max_degree:
-            raise ResourceLimitError(f"degree limit {limits.max_degree} exceeded at degree {deg}")
         f, g = basis[i], basis[j]
         lf, lg = _lead(f, key)[0], _lead(g, key)[0]
         sf = ring.monomial(tuple(x - y for x, y in zip(lcm, lf)))

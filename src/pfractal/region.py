@@ -18,8 +18,6 @@ from typing import Sequence
 from .algebra import IdealGens, as_fraction
 from .frobenius import FrobLevel, bracket_power
 from .groebner import (
-    DEFAULT_LIMITS,
-    GroebnerLimits,
     buchberger,
     ideal_colon,
     ideal_contains,
@@ -270,8 +268,7 @@ def sample_chi(fam: IdealFamily, I: IdealGens, box: Box, k: int,
 
 
 def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[int],
-                            box: Box, k: int, cfg: TauConfig = DEFAULT_TAU_CONFIG,
-                            limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+                            box: Box, k: int, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> bool:
     """Sample both sides of the rescaling identity for chi and compare.
 
     Left side: chi of I at (t + b) / p^e.  Right side: chi of the colon of
@@ -292,7 +289,7 @@ def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[
     q = p ** e
     level = FrobLevel(p, e)
     shifted = _product_of_powers(fam, [b_i - l_i + 1 for b_i, l_i in zip(b, l)])
-    colon = ideal_colon(bracket_power(I, level), shifted, limits)
+    colon = ideal_colon(bracket_power(I, level), shifted, cfg.limits)
     offset = tuple(Fraction(l_i - 1) for l_i in l)
     oracle = _ChiOracle(fam, cfg)
     shape = box.shape(p, k)

@@ -254,17 +254,12 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
     raise NotStabilizedError(cfg.e_max, prev_key)
 
 
-def _containment_prober(fam: IdealFamily, r: Sequence[int], target: IdealGens,
-                        limits: GroebnerLimits):
+def _least_power_inside(J: IdealGens, target: IdealGens, limits: GroebnerLimits,
+                        what: str, cap: int) -> int:
+    """Least positive m with J^m inside target; containment is monotone in m, cap guarded."""
     def contained(m: int) -> bool:
-        prod = _product_of_powers(fam, [m * r_i for r_i in r])
-        return ideal_contains(target, prod, limits)
+        return ideal_contains(target, ideal_power(J, m), limits)
 
-    return contained
-
-
-def _search_first_true(contained, what: str, cap: int) -> int:
-    """Least positive m with contained(m), for a monotone predicate; cap guarded."""
     hi = 1
     while not contained(hi):
         if hi > cap:
@@ -286,17 +281,18 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, *,
              search_cap: int = 1_000_000, limits: GroebnerLimits = DEFAULT_LIMITS) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
+    That power is J^m for the weighted product J = a_1^r_1 ... a_n^r_n.
     Containment is monotone in m, so an exponential probe followed by binary
     search finds the boundary.  Raises ZeroRegionError when I is the unit
     ideal (even m = 0 is contained) and UnboundedError when no containment
     shows up below the cap.
     """
     _check_weights(fam, r)
-    level = FrobLevel(fam.ring.p, e)
-    contained = _containment_prober(fam, r, bracket_power(I, level), limits)
-    if contained(0):
+    J = _product_of_powers(fam, r)
+    target = bracket_power(I, FrobLevel(fam.ring.p, e))
+    if ideal_contains(target, IdealGens.unit(fam.ring), limits):
         raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
-    return _search_first_true(contained, "v-number search", search_cap) - 1
+    return _least_power_inside(J, target, limits, "v-number search", search_cap) - 1
 
 
 @dataclass(frozen=True)
@@ -321,10 +317,8 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int, *,
         for e in range(1, e_max + 1)
     )
     J = reduce_to_single(fam, r)
-    s_count = len(J.gens)
-    contained = _containment_prober(fam, r, I, limits)
-    l_min = _search_first_true(contained, "threshold bound search", search_cap)
-    return FThresholdResult(values, Fraction(l_min * s_count))
+    l_min = _least_power_inside(J, I, limits, "threshold bound search", search_cap)
+    return FThresholdResult(values, Fraction(l_min * len(J.gens)))
 
 
 @dataclass(frozen=True)

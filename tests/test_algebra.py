@@ -20,7 +20,7 @@ from pfractal import (
     parse_polynomial,
     poly_pow,
 )
-from pfractal.algebra import MAX_EXPONENT
+from pfractal.algebra import MAX_EXPONENT, _pow_small
 
 
 def test_ring_validation():
@@ -181,6 +181,12 @@ def test_ideal_product_and_power(F3xy):
     assert ideal_power(I, 0) == IdealGens.unit(F3xy)
     assert ideal_product(I, IdealGens.unit(F3xy)) == I
     assert ideal_product(I, IdealGens.zero(F3xy)).is_zero
+    # a principal ideal is raised by base-p splitting; its generator is the plain power
+    for p in (2, 3, 5):
+        ring = Ring(p, ["x", "y"])
+        g = ring.polynomial("x*y + y^2 + x + 1")
+        for m in (0, 1, p - 1, p, p * p + 1):
+            assert ideal_power(IdealGens(ring, (g,)), m).gens == (_pow_small(g, m),)
 
 
 def _pascal_row(n, p):

@@ -254,12 +254,6 @@ def test_resource_limit(F3xy):
     assert full.basis == buchberger(I, GroebnerLimits(max_pairs=100)).basis
 
 
-def test_degree_limit(F3xy):
-    I = _ideal(F3xy, "x^5 + y", "x^3*y^4 + x")
-    with pytest.raises(ResourceLimitError):
-        buchberger(I, GroebnerLimits(max_degree=3))
-
-
 def test_three_variables_elimination_shape():
     ring = Ring(3, ["x", "y", "z"])
     I = IdealGens(ring, [parse_polynomial(t, ring) for t in ("x + y + z", "x*y + z^2")])

@@ -229,6 +229,18 @@ def test_v_number_level_shift(staircase, maximal):
         assert direct == shifted
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_threshold_search_on_a_non_principal_product(p):
+    """(x, y)^m lies in (x^q, y^q) exactly when m >= 2q - 1, so v(q) = 2q - 2."""
+    ring = Ring(p, ["x", "y"])
+    maximal = _ideal(ring, "x", "y")
+    fam = IdealFamily(ring, [maximal])
+    for e in (1, 2, 3):
+        assert v_number(fam, (1,), maximal, e) == 2 * p ** e - 2
+    res = f_threshold(fam, (1,), maximal, 3)
+    assert res.values == tuple(Fraction(2 * p ** e - 2, p ** e) for e in (1, 2, 3))
+
+
 def test_f_threshold_staircase(staircase, maximal):
     res = f_threshold(staircase, (1, 1), maximal, 3)
     assert isinstance(res, FThresholdResult)
