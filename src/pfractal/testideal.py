@@ -10,6 +10,7 @@ count of its ideal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -127,11 +128,8 @@ def p_adic_level(point: Sequence[Fraction], p: int) -> int | None:
     s = 0
     for c in point:
         den = c.denominator
-        e = 0
-        while den % p == 0:
-            den //= p
-            e += 1
-        if den != 1:
+        e = round(math.log(den, p))  # the only candidate for den = p^e
+        if den != p ** e:
             return None
         s = max(s, e)
     return s
@@ -254,11 +252,16 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
     raise NotStabilizedError(cfg.e_max, prev_key)
 
 
-def _least_power_inside(J: IdealGens, target: IdealGens, limits: GroebnerLimits,
-                        what: str, cap: int) -> int:
-    """Least positive m with J^m inside target; containment is monotone in m, cap guarded."""
+def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens,
+                        limits: GroebnerLimits, what: str, cap: int) -> int:
+    """Least positive m with a_1^(m r_1) ... a_n^(m r_n) inside target; cap guarded.
+
+    Containment is monotone in m.  Each probe raises the members one by one
+    (a principal member by base-p splitting), so a non-principal weighted
+    product's generator list is never squared.
+    """
     def contained(m: int) -> bool:
-        return ideal_contains(target, ideal_power(J, m), limits)
+        return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]), limits)
 
     hi = 1
     while not contained(hi):
@@ -281,18 +284,16 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, *,
              search_cap: int = 1_000_000, limits: GroebnerLimits = DEFAULT_LIMITS) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
-    That power is J^m for the weighted product J = a_1^r_1 ... a_n^r_n.
     Containment is monotone in m, so an exponential probe followed by binary
     search finds the boundary.  Raises ZeroRegionError when I is the unit
     ideal (even m = 0 is contained) and UnboundedError when no containment
     shows up below the cap.
     """
     _check_weights(fam, r)
-    J = _product_of_powers(fam, r)
     target = bracket_power(I, FrobLevel(fam.ring.p, e))
     if ideal_contains(target, IdealGens.unit(fam.ring), limits):
         raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
-    return _least_power_inside(J, target, limits, "v-number search", search_cap) - 1
+    return _least_power_inside(fam, r, target, limits, "v-number search", search_cap) - 1
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,7 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int, *,
         for e in range(1, e_max + 1)
     )
     J = reduce_to_single(fam, r)
-    l_min = _least_power_inside(J, I, limits, "threshold bound search", search_cap)
+    l_min = _least_power_inside(fam, r, I, limits, "threshold bound search", search_cap)
     return FThresholdResult(values, Fraction(l_min * len(J.gens)))
 
 

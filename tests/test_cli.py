@@ -145,7 +145,7 @@ def test_resource_limit_exit_4(capsys):
     # no power of (x) lies in (y): the containment search hits its cap
     ("threshold", "-p", "3", "-vars", "x,y", "-ideal", "x", "-r", "1", "-Igen", "y",
      "-e-max", "1"),
-    # the denominator 3^1000000 does not fit a machine word; refused before powering
+    # the p-adic level 3^1000000 does not fit a machine word; refused without dividing it out
     ("tau", "-p", "3", "-vars", "x,y", "-ideal", "x+y", "-c", "1/3^1000000"),
 ], ids=["frob-level", "exponent", "unbounded", "denominator"])
 def test_overflow_and_unbounded_exit_4(capsys, argv):

@@ -51,6 +51,11 @@ def test_p_adic_level():
     assert p_adic_level((Fraction(1, 3), Fraction(5, 9)), 3) == 2
     assert p_adic_level((Fraction(2), Fraction(0)), 3) == 0
     assert p_adic_level((Fraction(1, 3), Fraction(1, 2)), 3) is None
+    # a level past a machine word is found without dividing it out factor by factor
+    assert p_adic_level((Fraction(1, 3 ** 10 ** 6),), 3) == 10 ** 6
+    assert p_adic_level((Fraction(1, 2 * 3 ** 100),), 3) is None
+    assert p_adic_level((Fraction(2, 3 ** 100 + 1),), 3) is None
+    assert all(p_adic_level((Fraction(1, p ** e),), p) == e for p in (2, 3, 5, 7) for e in range(64))
 
 
 def test_family_validation(F3xy):
