@@ -158,14 +158,12 @@ def palette_color(index: int) -> tuple[int, int, int]:
 
 
 def _write_ppm(path: str, raster: RegionRaster) -> None:
-    if len(raster.shape) != 2:
-        raise UsageError("PPM output needs a 2-axis raster")
     w, h = raster.shape
     lines = [f"P3\n{w} {h}\n255\n"]
     for row in range(h - 1, -1, -1):
         pix = []
         for col in range(w):
-            r, g, b = palette_color(raster.cell((col, row)))
+            r, g, b = palette_color(raster.value_at((col, row)))
             pix.append(f"{r} {g} {b}")
         lines.append(" ".join(pix) + "\n")
     with open(path, "w") as fh:
@@ -208,6 +206,8 @@ def _cmd_raster(args) -> int:
     ring = _ring(args)
     fam = _family(args, ring)
     box = Box(_split_vector(args.box, parse_rational, "box"))
+    if args.out_ppm and box.n != 2:
+        raise UsageError("PPM output needs a 2-axis raster")
     raster = rasterize(fam, box, args.k, _tau_config(args))
     if args.out_ppm:
         _write_ppm(args.out_ppm, raster)
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, OverflowError, UnboundedError) as err:
         sys.stderr.write(f"resource limit: {err}\n")
         return 4
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         sys.stderr.write(f"usage error: {err}\n")
         return 1
 

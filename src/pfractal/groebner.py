@@ -24,6 +24,10 @@ class ResourceLimitError(RuntimeError):
 class GroebnerLimits:
     max_pairs: int = 1_000_000
 
+    def __post_init__(self):
+        if self.max_pairs < 0:
+            raise ValueError("max_pairs must be non-negative")
+
 
 DEFAULT_LIMITS = GroebnerLimits()
 

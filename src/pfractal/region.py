@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -77,6 +78,13 @@ class Box:
         return tuple(counts)
 
 
+def _grid(box: Box, p: int, k: int):
+    """(idx, point) for every point of the level-k grid of the box, row-major."""
+    q = p ** k
+    for idx in product(*map(range, box.shape(p, k))):
+        yield idx, tuple(Fraction(i, q) for i in idx)
+
+
 def _flat_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
     flat = 0
     for i, n in zip(idx, shape):
@@ -100,7 +108,7 @@ class GridFunction:
         if len(self.values) != expected:
             raise ValueError(f"expected {expected} samples, got {len(self.values)}")
 
-    @property
+    @cached_property  # value_at reads it once per cell in the raster writers
     def shape(self) -> tuple[int, ...]:
         return self.box.shape(self.p, self.k)
 
@@ -155,25 +163,17 @@ def chi(fam: IdealFamily, I: IdealGens, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) 
 
 
 @dataclass(frozen=True)
-class RegionRaster:
+class RegionRaster(GridFunction):
     """Test ideal identity per cell of a level-k grid over a box.
 
-    cells holds palette indices in row-major order; the palette lists the
+    values holds palette indices in row-major order; the palette lists the
     canonical keys in order of first appearance.
     """
 
-    p: int
-    box: Box
-    k: int
-    shape: tuple[int, ...]
-    cells: tuple[int, ...]
     palette: tuple[str, ...]
 
-    def cell(self, idx: Sequence[int]) -> int:
-        return self.cells[_flat_index(tuple(idx), self.shape)]
-
     def key_at(self, idx: Sequence[int]) -> str:
-        return self.palette[self.cell(idx)]
+        return self.palette[self.value_at(idx)]
 
 
 def rasterize(fam: IdealFamily, box: Box, k: int,
@@ -190,14 +190,11 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
     if k < 0:
         raise ValueError("k must be non-negative")
     p = fam.ring.p
-    shape = box.shape(p, k)
-    q = p ** k
     interned: dict[IdealGens, IdealGens] = {}
     # keyed by reduced basis, which determines the printed key and back
     index_of: dict[IdealGens, int] = {}
     cells = []
-    for idx in product(*map(range, shape)):
-        point = tuple(Fraction(i, q) for i in idx)
+    for idx, point in _grid(box, p, k):
         try:
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:
@@ -205,13 +202,13 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
         gb = buchberger(interned.setdefault(tau, tau), cfg.limits)
         cells.append(index_of.setdefault(gb, len(index_of)))
     palette = tuple(ideal_key(gb) for gb in index_of)
-    return RegionRaster(p, box, k, shape, tuple(cells), palette)
+    return RegionRaster(p, box, k, tuple(cells), palette)
 
 
 def region_membership(fam: IdealFamily, c, others: Sequence[IdealGens], J: IdealGens,
                       cfg: TauConfig = DEFAULT_TAU_CONFIG) -> bool:
     """Whether c lies in the region cut out by escaping every ideal in others while staying inside J."""
-    tau = tau_mixed(fam, fam.point(c), cfg)
+    tau = tau_mixed(fam, c, cfg)
     return (not any(ideal_contains(I, tau, cfg.limits) for I in others)
             and ideal_contains(J, tau, cfg.limits))
 
@@ -256,15 +253,9 @@ def fractal_operator(phi: GridFunction, q: int, b: Sequence[int]) -> GridFunctio
 def sample_chi(fam: IdealFamily, I: IdealGens, box: Box, k: int,
                cfg: TauConfig = DEFAULT_TAU_CONFIG) -> GridFunction:
     """chi(fam, I, -) sampled on the level-k grid of the box."""
-    p = fam.ring.p
-    shape = box.shape(p, k)
-    q = p ** k
     oracle = _ChiOracle(fam, cfg)
-    values = tuple(
-        oracle.chi(I, tuple(Fraction(i, q) for i in idx))
-        for idx in product(*map(range, shape))
-    )
-    return GridFunction(p, box, k, values)
+    values = tuple(oracle.chi(I, point) for _, point in _grid(box, fam.ring.p, k))
+    return GridFunction(fam.ring.p, box, k, values)
 
 
 def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[int],
@@ -292,10 +283,7 @@ def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[
     colon = ideal_colon(bracket_power(I, level), shifted, cfg.limits)
     offset = tuple(Fraction(l_i - 1) for l_i in l)
     oracle = _ChiOracle(fam, cfg)
-    shape = box.shape(p, k)
-    gq = p ** k
-    for idx in product(*map(range, shape)):
-        t = tuple(Fraction(i, gq) for i in idx)
+    for _, t in _grid(box, p, k):
         lhs = oracle.chi(I, tuple((t_i + b_i) / q for t_i, b_i in zip(t, b)))
         rhs = oracle.chi(colon, tuple(t_i + o_i for t_i, o_i in zip(t, offset)))
         if lhs != rhs:

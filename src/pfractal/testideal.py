@@ -202,34 +202,9 @@ def _degree_bound_check(fam: IdealFamily, point, result: IdealGens):
             )
 
 
-def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> IdealGens:
-    """The mixed test ideal tau(a_1^c_1 ... a_n^c_n).
-
-    Order of attack: Skoda peeling first, then the exact principal shortcut
-    when every member is principal and every exponent has a p-power
-    denominator, finally the stabilization loop over Frobenius levels with a
-    confirmation window.  Raises NotStabilizedError when the window is not
-    confirmed by level e_max.
-    """
-    point = fam.point(c)
+def _windowed_tau(fam: IdealFamily, point: Sequence[Fraction], cfg: TauConfig) -> IdealGens:
+    """The stabilization loop: the first root accepted by the confirmation window."""
     p = fam.ring.p
-
-    factor, residual = skoda_reduce(fam, point)
-    if not factor.has_unit_generator():
-        core = tau_mixed(fam, residual, cfg)
-        result = ideal_product(factor, core)
-        if cfg.degree_check and p_adic_level(point, p) is not None:
-            _degree_bound_check(fam, point, result)
-        return result
-
-    principal = _principal_padic(fam, point)
-    if principal is not None:
-        g, s = principal
-        result = poly_bracket_root(g, FrobLevel(p, s))
-        if cfg.degree_check:
-            _degree_bound_check(fam, point, result)
-        return result
-
     prev_key: str | None = None
     streak = 0
     for e in range(1, cfg.e_max + 1):
@@ -250,6 +225,36 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
                 _degree_bound_check(fam, point, buchberger(J, cfg.limits))
             return J
     raise NotStabilizedError(cfg.e_max, prev_key)
+
+
+def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> IdealGens:
+    """The mixed test ideal tau(a_1^c_1 ... a_n^c_n).
+
+    Order of attack: Skoda peeling first, then, on the residual point, the
+    exact principal shortcut when every member is principal and every
+    exponent has a p-power denominator, finally the stabilization loop over
+    Frobenius levels with a confirmation window.  Raises NotStabilizedError
+    when the window is not confirmed by level e_max.  The degree audit
+    skips the principal shortcut: a generator of the [1/p^s] root of g has
+    degree at most deg(g) / p^s <= d * |c|.
+    """
+    factor, residual = skoda_reduce(fam, c)
+    principal = _principal_padic(fam, residual)
+    if principal is not None:
+        g, s = principal
+        core = poly_bracket_root(g, FrobLevel(fam.ring.p, s))
+    else:
+        core = _windowed_tau(fam, residual, cfg)
+    if factor.has_unit_generator():
+        return core
+    result = ideal_product(factor, core)
+    if cfg.degree_check:
+        # a peeled product at a p-adic point can expose a window that
+        # accepted below the point's p-adic level
+        point = fam.point(c)
+        if p_adic_level(point, fam.ring.p) is not None:
+            _degree_bound_check(fam, point, result)
+    return result
 
 
 def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens,

@@ -155,6 +155,40 @@ def test_overflow_and_unbounded_exit_4(capsys, argv):
     assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("c", ["17/9", "1/3"])
+def test_negative_pair_budget_exit_1(capsys, c):
+    code, out, err = run(capsys, "tau", "-p", "3", "-vars", "x,y",
+                         "-ideal", "x;y", "-c", c, "-max-pairs", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and "max_pairs" in err
+
+
+def test_raster_unwritable_output_exit_1(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "a.ppm"
+    code, out, err = run(capsys, "raster", "-p", "3", "-vars", "x,y",
+                         "-ideal", "x+y", "-ideal", "x*y", "-box", "1,1", "-k", "1",
+                         "-out-ppm", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_raster_ppm_axes_checked_before_rasterizing(tmp_path, capsys, monkeypatch):
+    import pfractal.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rasterize called")
+
+    monkeypatch.setattr(pfractal.cli, "rasterize", fail)
+    code, out, err = run(capsys, "raster", "-p", "3", "-vars", "x,y,z",
+                         "-ideal", "x", "-ideal", "y", "-ideal", "z",
+                         "-box", "1,1,1", "-k", "1", "-out-ppm", str(tmp_path / "a.ppm"))
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: PPM output needs a 2-axis raster\n"
+
+
 def test_unknown_variable_is_parse_error(capsys):
     code, _, _ = run(capsys, "root", "-p", "3", "-vars", "x,y", "x + z", "-e", "1")
     assert code == 2

@@ -254,6 +254,12 @@ def test_resource_limit(F3xy):
     assert full.basis == buchberger(I, GroebnerLimits(max_pairs=100)).basis
 
 
+def test_negative_pair_budget_rejected():
+    with pytest.raises(ValueError, match="max_pairs"):
+        GroebnerLimits(max_pairs=-1)
+    assert GroebnerLimits(max_pairs=0).max_pairs == 0
+
+
 def test_three_variables_elimination_shape():
     ring = Ring(3, ["x", "y", "z"])
     I = IdealGens(ring, [parse_polynomial(t, ring) for t in ("x + y + z", "x*y + z^2")])

@@ -109,7 +109,7 @@ def test_raster_k2_palette(staircase):
     # palette indices are first-encounter, scan order fixes them
     assert r.palette[0] == "1"
     # bottom-left cell block is the unit region
-    assert r.cell((0, 0)) == 0
+    assert r.value_at((0, 0)) == 0
     assert r.key_at((3, 9)) == "x*y"
     assert r.key_at((9, 3)) == "x+y"
     assert r.key_at((6, 6)) == "x;y"

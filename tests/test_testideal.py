@@ -189,6 +189,12 @@ def test_skoda_two_generator_member(F3xy):
     factor, residual = skoda_reduce(fam, (Fraction(5, 2),))
     assert residual == (Fraction(3, 2),)
     assert ideal_equal(factor, m)
+    # Howald: tau((x,y)^c) = (x,y)^(floor(c) - 1), peeled once and then windowed
+    m2 = ideal_product(m, m)
+    for c, expect in ((Fraction(7, 3), m), (Fraction(5, 2), m), (Fraction(8, 3), m),
+                      (Fraction(7, 2), m2)):
+        for cfg in (TauConfig(), TauConfig(degree_check=True)):
+            assert ideal_equal(tau_mixed(fam, (c,), cfg), expect), (c, cfg)
 
 
 def test_reduce_to_single(staircase):
