@@ -14,12 +14,13 @@ import argparse
 import json
 import re
 import sys
+from contextlib import ExitStack, nullcontext
 from fractions import Fraction
 from itertools import product
 
 from .algebra import IdealGens, PolyParseError, Ring, parse_polynomial
 from .frobenius import FrobLevel, poly_bracket_root
-from .groebner import GroebnerLimits, ResourceLimitError, buchberger
+from .groebner import ResourceLimitError, buchberger, pair_budget
 from .region import (
     Box,
     RegionRaster,
@@ -105,28 +106,18 @@ def _inner_ideal(args, ring: Ring) -> IdealGens:
 
 
 def _tau_config(args) -> TauConfig:
-    kw = {"limits": _limits(args)}
-    if getattr(args, "e_max", None) is not None:
-        kw["e_max"] = args.e_max
-    if getattr(args, "window", None) is not None:
-        kw["confirm_window"] = args.window
-    return TauConfig(**kw)
-
-
-def _limits(args) -> GroebnerLimits:
-    if getattr(args, "max_pairs", None) is not None:
-        return GroebnerLimits(max_pairs=args.max_pairs)
-    return GroebnerLimits()
+    kw = {"e_max": args.e_max, "confirm_window": args.window}
+    return TauConfig(**{name: v for name, v in kw.items() if v is not None})
 
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _ideal_json(ring: Ring, I: IdealGens, limits: GroebnerLimits) -> dict:
+def _ideal_json(ring: Ring, I: IdealGens) -> dict:
     return {
         "ring": {"p": ring.p, "vars": list(ring.vars)},
-        "gens": [g.to_str() for g in buchberger(I, limits).gens],
+        "gens": [g.to_str() for g in buchberger(I).gens],
     }
 
 
@@ -157,7 +148,7 @@ def palette_color(index: int) -> tuple[int, int, int]:
     return tuple(max(0, ch - drop) for ch in base)
 
 
-def _write_ppm(path: str, raster: RegionRaster) -> None:
+def _write_ppm(fh, raster: RegionRaster) -> None:
     w, h = raster.shape
     lines = [f"P3\n{w} {h}\n255\n"]
     for row in range(h - 1, -1, -1):
@@ -166,14 +157,12 @@ def _write_ppm(path: str, raster: RegionRaster) -> None:
             r, g, b = palette_color(raster.value_at((col, row)))
             pix.append(f"{r} {g} {b}")
         lines.append(" ".join(pix) + "\n")
-    with open(path, "w") as fh:
-        fh.writelines(lines)
+    fh.writelines(lines)
 
 
-def _write_csv(path: str, raster: RegionRaster) -> None:
-    with open(path, "w") as fh:
-        for idx in product(*map(range, raster.shape)):
-            fh.write(",".join(str(i) for i in idx) + "," + raster.key_at(idx) + "\n")
+def _write_csv(fh, raster: RegionRaster) -> None:
+    for idx in product(*map(range, raster.shape)):
+        fh.write(",".join(str(i) for i in idx) + "," + raster.key_at(idx) + "\n")
 
 
 def _legend(raster: RegionRaster) -> dict:
@@ -189,7 +178,7 @@ def _cmd_root(args) -> int:
     ring = _ring(args)
     h = parse_polynomial(args.poly, ring)
     root = poly_bracket_root(h, FrobLevel(ring.p, args.e))
-    _emit(_ideal_json(ring, root, _limits(args)))
+    _emit(_ideal_json(ring, root))
     return 0
 
 
@@ -198,7 +187,7 @@ def _cmd_tau(args) -> int:
     fam = _family(args, ring)
     c = _split_vector(args.c, parse_rational, "exponent vector")
     tau = tau_mixed(fam, c, _tau_config(args))
-    _emit(_ideal_json(ring, tau, _limits(args)))
+    _emit(_ideal_json(ring, tau))
     return 0
 
 
@@ -208,15 +197,18 @@ def _cmd_raster(args) -> int:
     box = Box(_split_vector(args.box, parse_rational, "box"))
     if args.out_ppm and box.n != 2:
         raise UsageError("PPM output needs a 2-axis raster")
-    raster = rasterize(fam, box, args.k, _tau_config(args))
-    if args.out_ppm:
-        _write_ppm(args.out_ppm, raster)
-    if args.out_csv:
-        _write_csv(args.out_csv, raster)
-    legend = _legend(raster)
-    if args.out_legend:
-        with open(args.out_legend, "w") as fh:
-            fh.write(json.dumps(legend, separators=(",", ":")) + "\n")
+    with ExitStack() as stack:
+        # opened first, so an unwritable path fails before the raster is computed
+        ppm, csv, legend_fh = [stack.enter_context(open(path, "w")) if path else None
+                               for path in (args.out_ppm, args.out_csv, args.out_legend)]
+        raster = rasterize(fam, box, args.k, _tau_config(args))
+        if ppm:
+            _write_ppm(ppm, raster)
+        if csv:
+            _write_csv(csv, raster)
+        legend = _legend(raster)
+        if legend_fh:
+            legend_fh.write(json.dumps(legend, separators=(",", ":")) + "\n")
     _emit(legend)
     return 0
 
@@ -226,7 +218,7 @@ def _cmd_threshold(args) -> int:
     fam = _family(args, ring)
     r = _split_vector(args.r, _parse_int, "direction")
     I = _inner_ideal(args, ring)
-    result = f_threshold(fam, r, I, args.e_max, limits=_limits(args))
+    result = f_threshold(fam, r, I, args.e_max)
     _emit([str(v) for v in result.values])
     return 0
 
@@ -359,7 +351,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        max_pairs = getattr(args, "max_pairs", None)
+        with nullcontext() if max_pairs is None else pair_budget(max_pairs):
+            return args.func(args)
     except UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return 1

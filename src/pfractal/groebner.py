@@ -10,26 +10,35 @@ throughout; everything is deterministic.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, Sequence
 
 from .algebra import IdealGens, Polynomial, Ring, grevlex_key
 
 
 class ResourceLimitError(RuntimeError):
-    """A Groebner computation exceeded its configured pair cap."""
+    """A Buchberger run processed more S-pairs than the pair budget in scope."""
 
 
-@dataclass(frozen=True)
-class GroebnerLimits:
-    max_pairs: int = 1_000_000
-
-    def __post_init__(self):
-        if self.max_pairs < 0:
-            raise ValueError("max_pairs must be non-negative")
+_max_pairs: ContextVar[int] = ContextVar("max_pairs", default=1_000_000)
 
 
-DEFAULT_LIMITS = GroebnerLimits()
+@contextmanager
+def pair_budget(max_pairs: int) -> Iterator[None]:
+    """Cap every Buchberger run in this scope at max_pairs S-pairs.
+
+    A budget decides only whether a computation finishes, never what it
+    returns, so it is scoped rather than passed: a basis already kept on an
+    ideal comes back under any budget.  The outer budget returns on exit.
+    """
+    if max_pairs < 0:
+        raise ValueError("max_pairs must be non-negative")
+    token = _max_pairs.set(max_pairs)
+    try:
+        yield
+    finally:
+        _max_pairs.reset(token)
 
 
 def _lcm_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -93,21 +102,19 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], key, want_quotients: 
     return rem
 
 
-def normal_form(f: Polynomial, I: IdealGens,
-                limits: GroebnerLimits = DEFAULT_LIMITS) -> Polynomial:
+def normal_form(f: Polynomial, I: IdealGens) -> Polynomial:
     """Remainder of f under division by the reduced basis of I."""
-    basis = buchberger(I, limits).gens
+    basis = buchberger(I).gens
     if not basis or f.is_zero:
         return f
     return _divide(f, basis, grevlex_key, want_quotients=False)
 
 
-def reduces_to_zero(f: Polynomial, I: IdealGens,
-                    limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+def reduces_to_zero(f: Polynomial, I: IdealGens) -> bool:
     """Whether f lies in I: its normal form against the reduced basis vanishes."""
     if f.is_zero:
         return True
-    basis = buchberger(I, limits).gens
+    basis = buchberger(I).gens
     if not basis:
         return False
     if all(len(g.terms) == 1 for g in basis):
@@ -116,16 +123,18 @@ def reduces_to_zero(f: Polynomial, I: IdealGens,
         return not any(
             all(not _divides(lm, exps) for lm in lms) for exps in f.terms
         )
-    return normal_form(f, I, limits).is_zero
+    return normal_form(f, I).is_zero
 
 
-def _buchberger_core(polys: list[Polynomial], key, limits: GroebnerLimits) -> list[Polynomial]:
+def _buchberger_core(polys: list[Polynomial], key) -> list[Polynomial]:
     """Raw Buchberger loop under an arbitrary monomial order key.
 
     Pair selection is by minimal lcm degree with the order key of the lcm and
     the pair indices as tie-breaks.  The product (coprime-lead) criterion is
-    applied.  Returns an unreduced basis of monic polynomials.
+    applied.  Returns an unreduced basis of monic polynomials.  Raises
+    ResourceLimitError past the pair budget in scope.
     """
+    max_pairs = _max_pairs.get()
     ring = polys[0].ring
     basis = [_monic_under(g, key) for g in polys]
     heap: list = []
@@ -146,8 +155,8 @@ def _buchberger_core(polys: list[Polynomial], key, limits: GroebnerLimits) -> li
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         processed += 1
-        if processed > limits.max_pairs:
-            raise ResourceLimitError(f"pair limit {limits.max_pairs} exceeded")
+        if processed > max_pairs:
+            raise ResourceLimitError(f"pair limit {max_pairs} exceeded")
         f, g = basis[i], basis[j]
         lf, lg = _lead(f, key)[0], _lead(g, key)[0]
         sf = ring.monomial(tuple(x - y for x, y in zip(lcm, lf)))
@@ -186,11 +195,11 @@ def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
     return reduced
 
 
-def buchberger(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> IdealGens:
+def buchberger(I: IdealGens) -> IdealGens:
     """The reduced grevlex Groebner basis of I, as the ideal it generates.
 
     Computed on the first call and kept on I; later calls return it without
-    work, whatever their limits.  The result is its own reduced basis, so
+    work, under any pair budget.  The result is its own reduced basis, so
     buchberger(buchberger(I)) is buchberger(I).  Its gens (= basis) are monic,
     auto-reduced and in the byte order of their compact printed form, which
     is also the order of the ideal key.  The unit ideal has basis (1,) and
@@ -203,7 +212,7 @@ def buchberger(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> IdealGe
         elif I.has_unit_generator():
             basis = (ring.one(),)
         else:
-            raw = _buchberger_core(list(I.gens), grevlex_key, limits)
+            raw = _buchberger_core(list(I.gens), grevlex_key)
             basis = tuple(_reduce_basis(raw, grevlex_key))
         reduced = I if basis == I.gens else IdealGens(ring, basis)
         reduced._reduced = reduced
@@ -211,21 +220,21 @@ def buchberger(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> IdealGe
     return I._reduced
 
 
-def ideal_key(I: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> str:
+def ideal_key(I: IdealGens) -> str:
     """Canonical string identity of an ideal: printed reduced basis joined by ';'.
 
     Equal ideals always produce byte-identical keys; the zero ideal gives ''.
     """
-    return ";".join(g.to_str(compact=True) for g in buchberger(I, limits).gens)
+    return ";".join(g.to_str(compact=True) for g in buchberger(I).gens)
 
 
-def ideal_contains(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
+def ideal_contains(I: IdealGens, J: IdealGens) -> bool:
     """Whether I contains J, i.e. every generator of J lies in I."""
-    return all(reduces_to_zero(g, I, limits) for g in J.gens)
+    return all(reduces_to_zero(g, I) for g in J.gens)
 
 
-def ideal_equal(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> bool:
-    return buchberger(I, limits).gens == buchberger(J, limits).gens
+def ideal_equal(I: IdealGens, J: IdealGens) -> bool:
+    return buchberger(I).gens == buchberger(J).gens
 
 
 # ------------------------------------------------------- colon via elimination
@@ -248,8 +257,7 @@ def _lift(f: Polynomial, ext: Ring, t_deg: int = 0) -> Polynomial:
     return Polynomial._make(ext, {(t_deg,) + exps: c for exps, c in f.terms.items()})
 
 
-def _eliminate(A: Sequence[Polynomial], B: Sequence[Polynomial], ring: Ring,
-               limits: GroebnerLimits) -> list[Polynomial]:
+def _eliminate(A: Sequence[Polynomial], B: Sequence[Polynomial], ring: Ring) -> list[Polynomial]:
     """Generators of (A) intersect (B) via t*A + (1-t)*B and elimination of t."""
     ext = Ring(ring.p, (_aux_name(ring),) + ring.vars)
     gens = [_lift(g, ext, 1) for g in A]
@@ -258,7 +266,7 @@ def _eliminate(A: Sequence[Polynomial], B: Sequence[Polynomial], ring: Ring,
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    raw = _buchberger_core(gens, _elim_key, limits)
+    raw = _buchberger_core(gens, _elim_key)
     reduced = _reduce_basis(raw, _elim_key)
     out = []
     for g in reduced:
@@ -267,17 +275,17 @@ def _eliminate(A: Sequence[Polynomial], B: Sequence[Polynomial], ring: Ring,
     return out
 
 
-def _intersect(I: IdealGens, J: IdealGens, limits: GroebnerLimits) -> IdealGens:
+def _intersect(I: IdealGens, J: IdealGens) -> IdealGens:
     if I.is_zero or J.is_zero:
         return IdealGens.zero(I.ring)
     if I.has_unit_generator():
         return J
     if J.has_unit_generator():
         return I
-    return IdealGens(I.ring, _eliminate(I.gens, J.gens, I.ring, limits))
+    return IdealGens(I.ring, _eliminate(I.gens, J.gens, I.ring))
 
 
-def ideal_colon(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIMITS) -> IdealGens:
+def ideal_colon(I: IdealGens, J: IdealGens) -> IdealGens:
     """The colon ideal (I : J) = {f : f*J is contained in I}.
 
     Computed per generator f of J as (I : f), intersecting the results.  Each
@@ -296,7 +304,7 @@ def ideal_colon(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIM
         return I
     result: IdealGens | None = None
     for f in J.gens:
-        meet = _eliminate(I.gens, [f], ring, limits)
+        meet = _eliminate(I.gens, [f], ring)
         quotients = []
         for g in meet:
             q, rem = _divide(g, [f], grevlex_key, want_quotients=True)
@@ -304,7 +312,7 @@ def ideal_colon(I: IdealGens, J: IdealGens, limits: GroebnerLimits = DEFAULT_LIM
                 raise RuntimeError("exact division failed in colon computation")
             quotients.append(q[0])
         part = IdealGens(ring, quotients)
-        result = part if result is None else _intersect(result, part, limits)
+        result = part if result is None else _intersect(result, part)
         if result.is_zero:
             break
     return result

@@ -144,17 +144,17 @@ class _ChiOracle:
         self._brackets: dict[tuple[IdealGens, int], IdealGens] = {}
 
     def chi(self, I: IdealGens, c) -> int:
-        point = self.fam.point(c)
-        limits = self.cfg.limits
-        principal = _principal_padic(self.fam, point)
-        if principal is not None:
-            g, s = principal
-            bracket = self._brackets.get((I, s))
-            if bracket is None:
-                bracket = bracket_power(I, FrobLevel(self.fam.ring.p, s))
-                self._brackets[(I, s)] = bracket
-            return 0 if reduces_to_zero(g, bracket, limits) else 1
-        return 0 if ideal_contains(I, tau_mixed(self.fam, point, self.cfg), limits) else 1
+        # only the shortcut validates c here; tau_mixed validates it itself
+        if self.fam.all_principal:
+            principal = _principal_padic(self.fam, self.fam.point(c))
+            if principal is not None:
+                g, s = principal
+                bracket = self._brackets.get((I, s))
+                if bracket is None:
+                    bracket = bracket_power(I, FrobLevel(self.fam.ring.p, s))
+                    self._brackets[(I, s)] = bracket
+                return 0 if reduces_to_zero(g, bracket) else 1
+        return 0 if ideal_contains(I, tau_mixed(self.fam, c, self.cfg)) else 1
 
 
 def chi(fam: IdealFamily, I: IdealGens, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> int:
@@ -199,7 +199,7 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:
             raise CellNotStabilized(err.e_max, idx, point) from err
-        gb = buchberger(interned.setdefault(tau, tau), cfg.limits)
+        gb = buchberger(interned.setdefault(tau, tau))
         cells.append(index_of.setdefault(gb, len(index_of)))
     palette = tuple(ideal_key(gb) for gb in index_of)
     return RegionRaster(p, box, k, tuple(cells), palette)
@@ -209,8 +209,7 @@ def region_membership(fam: IdealFamily, c, others: Sequence[IdealGens], J: Ideal
                       cfg: TauConfig = DEFAULT_TAU_CONFIG) -> bool:
     """Whether c lies in the region cut out by escaping every ideal in others while staying inside J."""
     tau = tau_mixed(fam, c, cfg)
-    return (not any(ideal_contains(I, tau, cfg.limits) for I in others)
-            and ideal_contains(J, tau, cfg.limits))
+    return not any(ideal_contains(I, tau) for I in others) and ideal_contains(J, tau)
 
 
 def fractal_operator(phi: GridFunction, q: int, b: Sequence[int]) -> GridFunction:
@@ -280,7 +279,7 @@ def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[
     q = p ** e
     level = FrobLevel(p, e)
     shifted = _product_of_powers(fam, [b_i - l_i + 1 for b_i, l_i in zip(b, l)])
-    colon = ideal_colon(bracket_power(I, level), shifted, cfg.limits)
+    colon = ideal_colon(bracket_power(I, level), shifted)
     offset = tuple(Fraction(l_i - 1) for l_i in l)
     oracle = _ChiOracle(fam, cfg)
     for _, t in _grid(box, p, k):

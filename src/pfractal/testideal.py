@@ -11,7 +11,7 @@ count of its ideal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -26,7 +26,7 @@ from .algebra import (
     poly_pow,
 )
 from .frobenius import FrobLevel, bracket_power, ideal_bracket_root, poly_bracket_root
-from .groebner import DEFAULT_LIMITS, GroebnerLimits, buchberger, ideal_contains, ideal_key
+from .groebner import buchberger, ideal_contains, ideal_key
 
 
 class NotStabilizedError(RuntimeError):
@@ -95,7 +95,6 @@ class TauConfig:
     e_max: int = 10
     confirm_window: int = 2
     degree_check: bool = False
-    limits: GroebnerLimits = field(default_factory=GroebnerLimits)
 
     def __post_init__(self):
         if self.e_max < 1:
@@ -212,7 +211,7 @@ def _windowed_tau(fam: IdealFamily, point: Sequence[Fraction], cfg: TauConfig) -
         exponents = [_ceil(ci * q) for ci in point]
         prod = _product_of_powers(fam, exponents)
         J = ideal_bracket_root(prod, FrobLevel(p, e))
-        key = ideal_key(J, cfg.limits)
+        key = ideal_key(J)
         if key == prev_key:
             streak += 1
         else:
@@ -222,7 +221,7 @@ def _windowed_tau(fam: IdealFamily, point: Sequence[Fraction], cfg: TauConfig) -
             if cfg.degree_check:
                 # checked on the reduced basis: a violation means the window
                 # accepted a value below the true (larger) stabilized ideal
-                _degree_bound_check(fam, point, buchberger(J, cfg.limits))
+                _degree_bound_check(fam, point, buchberger(J))
             return J
     raise NotStabilizedError(cfg.e_max, prev_key)
 
@@ -257,8 +256,10 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
     return result
 
 
-def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens,
-                        limits: GroebnerLimits, what: str, cap: int) -> int:
+_SEARCH_CAP = 1_000_000  # a containment search past this power raises UnboundedError
+
+
+def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, what: str) -> int:
     """Least positive m with a_1^(m r_1) ... a_n^(m r_n) inside target; cap guarded.
 
     Containment is monotone in m.  Each probe raises the members one by one
@@ -266,11 +267,11 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens,
     product's generator list is never squared.
     """
     def contained(m: int) -> bool:
-        return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]), limits)
+        return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
 
     hi = 1
     while not contained(hi):
-        if hi > cap:
+        if hi > _SEARCH_CAP:
             raise UnboundedError(
                 f"{what}: containment still fails at m={hi}; radical condition violated?"
             )
@@ -285,20 +286,19 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens,
     return hi
 
 
-def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, *,
-             search_cap: int = 1_000_000, limits: GroebnerLimits = DEFAULT_LIMITS) -> int:
+def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
     Containment is monotone in m, so an exponential probe followed by binary
     search finds the boundary.  Raises ZeroRegionError when I is the unit
     ideal (even m = 0 is contained) and UnboundedError when no containment
-    shows up below the cap.
+    shows up below _SEARCH_CAP.
     """
     _check_weights(fam, r)
     target = bracket_power(I, FrobLevel(fam.ring.p, e))
-    if ideal_contains(target, IdealGens.unit(fam.ring), limits):
+    if ideal_contains(target, IdealGens.unit(fam.ring)):
         raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
-    return _least_power_inside(fam, r, target, limits, "v-number search", search_cap) - 1
+    return _least_power_inside(fam, r, target, "v-number search") - 1
 
 
 @dataclass(frozen=True)
@@ -307,9 +307,7 @@ class FThresholdResult:
     upper: Fraction
 
 
-def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int, *,
-                search_cap: int = 1_000_000,
-                limits: GroebnerLimits = DEFAULT_LIMITS) -> FThresholdResult:
+def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) -> FThresholdResult:
     """The non-decreasing sequence v_e / p^e for e = 1..e_max, with limit bracket.
 
     The limit lies in [values[-1], l*s] where s counts the generators of the
@@ -318,12 +316,9 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int, *,
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     p = fam.ring.p
-    values = tuple(
-        Fraction(v_number(fam, r, I, e, search_cap=search_cap, limits=limits), p ** e)
-        for e in range(1, e_max + 1)
-    )
+    values = tuple(Fraction(v_number(fam, r, I, e), p ** e) for e in range(1, e_max + 1))
     J = reduce_to_single(fam, r)
-    l_min = _least_power_inside(fam, r, I, limits, "threshold bound search", search_cap)
+    l_min = _least_power_inside(fam, r, I, "threshold bound search")
     return FThresholdResult(values, Fraction(l_min * len(J.gens)))
 
 
@@ -354,7 +349,7 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     jumps: list[JumpRecord] = []
     prev_key: str | None = None
     for m in range(top + 1):
-        key = ideal_key(tau_mixed(single, (Fraction(m, q),), cfg), cfg.limits)
+        key = ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
         if m > 0 and key != prev_key:
             jumps.append(JumpRecord(Fraction(m - 1, q), Fraction(m, q), prev_key, key))
         prev_key = key

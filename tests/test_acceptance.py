@@ -307,13 +307,11 @@ def test_criterion_6f_v_number_identities():
             r = tuple(rng.randint(1, 2) for _ in range(fam.n))
             I = _ideal(ring, "x", "y")
             e = rng.randint(1, 2)
-            direct = v_number(fam, r, I, e + 1, search_cap=4096)
-            shifted = v_number(fam, r, bracket_power(I, FrobLevel(p, 1)), e,
-                               search_cap=4096)
+            direct = v_number(fam, r, I, e + 1)
+            shifted = v_number(fam, r, bracket_power(I, FrobLevel(p, 1)), e)
             assert direct == shifted, (p, r, e)
-            doubled = v_number(fam, tuple(2 * x for x in r), I, e,
-                               search_cap=4096)
-            assert doubled == v_number(fam, r, I, e, search_cap=4096) // 2
+            doubled = v_number(fam, tuple(2 * x for x in r), I, e)
+            assert doubled == v_number(fam, r, I, e) // 2
             count += 2
     _report("criterion 6f (v-number level shift + doubling)", True,
             f"{count} instances")

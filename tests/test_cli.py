@@ -137,6 +137,23 @@ def test_resource_limit_exit_4(capsys):
     assert "resource limit" in err
 
 
+STAIRCASE = ("-p", "3", "-vars", "x,y", "-ideal", "x+y", "-ideal", "x*y")
+
+
+@pytest.mark.parametrize("argv", [
+    ("raster", *STAIRCASE, "-box", "1,1", "-k", "1"),
+    ("threshold", *STAIRCASE, "-r", "1,1", "-Igen", "x+y", "-Igen", "x*y", "-e-max", "2"),
+    ("jump", *STAIRCASE, "-r", "1,1", "-k", "1", "-bound", "1"),
+    ("fractal-check", *STAIRCASE, "-Igen", "x", "-Igen", "y", "-e", "1", "-b", "0,2",
+     "-box", "1,1", "-k", "1"),
+], ids=["raster", "threshold", "jump", "fractal-check"])
+def test_pair_budget_reaches_every_command(capsys, argv):
+    code, out, err = run(capsys, *argv, "-max-pairs", "0")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     # q = 3^100 does not fit a machine word
     ("root", "-p", "3", "-vars", "x", "x", "-e", "100"),
@@ -169,6 +186,21 @@ def test_raster_unwritable_output_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "raster", "-p", "3", "-vars", "x,y",
                          "-ideal", "x+y", "-ideal", "x*y", "-box", "1,1", "-k", "1",
                          "-out-ppm", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-out-ppm", "-out-csv", "-out-legend"])
+def test_raster_unwritable_output_fails_before_rasterizing(flag, tmp_path, capsys, monkeypatch):
+    import pfractal.cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("rasterize called")
+
+    monkeypatch.setattr(pfractal.cli, "rasterize", fail)
+    code, out, err = run(capsys, "raster", *STAIRCASE, "-box", "1,1", "-k", "4",
+                         flag, str(tmp_path / "no-such-dir" / "a.out"))
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from pfractal import (
-    GroebnerLimits,
     IdealGens,
     ResourceLimitError,
     Ring,
@@ -18,6 +17,7 @@ from pfractal import (
     ideal_power,
     ideal_product,
     normal_form,
+    pair_budget,
     parse_polynomial,
     reduces_to_zero,
 )
@@ -248,16 +248,53 @@ def test_colon_rejects_zero_divisor_ideal(F3xy):
 
 def test_resource_limit(F3xy):
     I = _ideal(F3xy, "x^2 + x*y", "y^2 + x*y")
-    with pytest.raises(ResourceLimitError):
-        buchberger(I, GroebnerLimits(max_pairs=0))
+    with pair_budget(0), pytest.raises(ResourceLimitError):
+        buchberger(I)
     full = buchberger(I)
-    assert full.basis == buchberger(I, GroebnerLimits(max_pairs=100)).basis
+    with pair_budget(100):
+        assert full.basis == buchberger(I).basis
 
 
-def test_negative_pair_budget_rejected():
+def test_negative_pair_budget_rejected(F3xy):
     with pytest.raises(ValueError, match="max_pairs"):
-        GroebnerLimits(max_pairs=-1)
-    assert GroebnerLimits(max_pairs=0).max_pairs == 0
+        with pair_budget(-1):
+            pass
+    with pair_budget(0):  # a run that processes no pair fits the zero budget
+        assert buchberger(_ideal(F3xy, "x")).basis == (F3xy.polynomial("x"),)
+
+
+def _needs_pairs(ring):
+    """A fresh ideal whose basis takes Buchberger at least one S-pair."""
+    return _ideal(ring, "x^2 + x*y", "y^2 + x*y")
+
+
+def test_nested_pair_budget_restores_the_outer_one(F3xy):
+    with pair_budget(0):
+        with pair_budget(100):
+            buchberger(_needs_pairs(F3xy))
+        with pytest.raises(ResourceLimitError):
+            buchberger(_needs_pairs(F3xy))
+    buchberger(_needs_pairs(F3xy))
+
+
+def test_pair_budget_restored_when_the_body_raises(F3xy):
+    with pytest.raises(ResourceLimitError):
+        with pair_budget(0):
+            buchberger(_needs_pairs(F3xy))
+    buchberger(_needs_pairs(F3xy))  # the default budget is back
+    with pytest.raises(KeyError):
+        with pair_budget(0):
+            raise KeyError("unrelated")
+    buchberger(_needs_pairs(F3xy))
+
+
+def test_cached_basis_returned_under_any_budget(F3xy):
+    I = _needs_pairs(F3xy)
+    full = buchberger(I)
+    with pair_budget(0):
+        assert buchberger(I) is full
+        assert ideal_key(I) == ideal_key(full)
+        assert reduces_to_zero(F3xy.polynomial("x^2 + x*y"), I)
 
 
 def test_three_variables_elimination_shape():

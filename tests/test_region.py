@@ -84,6 +84,22 @@ def test_chi_oracle_agrees_with_generic_path(staircase, maximal):
         assert fast == slow, c
 
 
+def test_chi_validates_each_sample_once(F3xy, maximal, monkeypatch):
+    """A non-principal family skips the shortcut, so only tau_mixed validates."""
+    calls = []
+    point = IdealFamily.point
+
+    def counted(self, coords):
+        calls.append(coords)
+        return point(self, coords)
+
+    monkeypatch.setattr(IdealFamily, "point", counted)
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y")])
+    phi = sample_chi(fam, maximal, Box((2,)), 2)
+    assert len(phi.values) == 19
+    assert len(calls) == 19
+
+
 def test_chi_downset_on_diagonal(staircase, maximal):
     """chi = 1 is a down-set: shrinking the exponent keeps chi = 1."""
     vals = [chi(staircase, maximal, (Fraction(i, 9), Fraction(i, 9)))

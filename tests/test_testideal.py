@@ -227,7 +227,7 @@ def test_v_number_unbounded(F3xy):
     fam = IdealFamily(F3xy, [_ideal(F3xy, "x")])
     I = _ideal(F3xy, "y")
     with pytest.raises(UnboundedError):
-        v_number(fam, (1,), I, 1, search_cap=64)
+        v_number(fam, (1,), I, 1)
 
 
 def test_v_number_level_shift(staircase, maximal):
