@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
+from operator import ge
 from typing import Iterator, Sequence
 
 from .algebra import IdealGens, Polynomial, Ring, grevlex_key
@@ -64,22 +65,29 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], key, want_quotients: 
     """Multivariate division: f = sum q_i d_i + r, no term of r divisible by any LM(d_i).
 
     Reduces the current lead term each step, trying divisors in list order.
-    Leading terms on both sides are taken under key.
+    Leading terms on both sides are taken under key.  Each term is keyed
+    once, in the descending form of key, and leads pop from a heap; an entry
+    whose term was cancelled meanwhile is skipped.
     """
     ring = f.ring
     p = ring.p
+    desc = _DESCENDING[key]
     table = []
     for d in divisors:
-        lm, lc = _lead(d, key)
-        table.append((lm, pow(lc, p - 2, p), d.terms))
+        lm = min(d.terms, key=desc)
+        table.append((lm, pow(d.terms[lm], p - 2, p), d.terms))
     quotients = [dict() for _ in divisors] if want_quotients else None
     work = dict(f.terms)
+    heap = [(desc(exps), exps) for exps in work]
+    heapq.heapify(heap)
     remainder: dict[tuple[int, ...], int] = {}
-    while work:
-        lead = max(work, key=key)
-        coeff = work.pop(lead)
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        coeff = work.pop(lead, 0)
+        if not coeff:
+            continue
         for idx, (lm, lc_inv, dterms) in enumerate(table):
-            if _divides(lm, lead):
+            if all(map(ge, lead, lm)):
                 shift = tuple(x - y for x, y in zip(lead, lm))
                 q = coeff * lc_inv % p
                 if want_quotients:
@@ -88,11 +96,14 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], key, want_quotients: 
                     tgt = tuple(x + y for x, y in zip(exps, shift))
                     if tgt == lead:
                         continue
-                    s = (work.get(tgt, 0) - q * c) % p
+                    old = work.get(tgt)
+                    s = ((old or 0) - q * c) % p
                     if s:
                         work[tgt] = s
+                        if old is None:
+                            heapq.heappush(heap, (desc(tgt), tgt))
                     else:
-                        work.pop(tgt, None)
+                        del work[tgt]
                 break
         else:
             remainder[lead] = coeff
@@ -119,10 +130,14 @@ def reduces_to_zero(f: Polynomial, I: IdealGens) -> bool:
         return False
     if all(len(g.terms) == 1 for g in basis):
         # Remainder just filters terms; only existence of a survivor matters.
-        lms = [g.leading_monomial() for g in basis]
-        return not any(
-            all(not _divides(lm, exps) for lm in lms) for exps in f.terms
-        )
+        lms = [lm for g in basis for lm in g.terms]
+        for exps in f.terms:
+            for lm in lms:
+                if all(map(ge, exps, lm)):
+                    break
+            else:
+                return False
+        return True
     return normal_form(f, I).is_zero
 
 
@@ -251,6 +266,19 @@ def _aux_name(ring: Ring) -> str:
 def _elim_key(exps: tuple[int, ...]) -> tuple:
     # Block order: compare the auxiliary (first) variable, then grevlex rest.
     return (exps[0], grevlex_key(exps[1:]))
+
+
+def _grevlex_descending(exps: tuple[int, ...]) -> tuple:
+    return (-sum(exps), exps[::-1])
+
+
+def _elim_descending(exps: tuple[int, ...]) -> tuple:
+    return (-exps[0], -sum(exps[1:]), exps[:0:-1])
+
+
+# Each order key with a key that sorts the same monomials the other way
+# round, so a min-heap pops the largest monomial first.
+_DESCENDING = {grevlex_key: _grevlex_descending, _elim_key: _elim_descending}
 
 
 def _lift(f: Polynomial, ext: Ring, t_deg: int = 0) -> Polynomial:

@@ -30,8 +30,9 @@ from .testideal import (
     IdealFamily,
     NotStabilizedError,
     TauConfig,
-    _principal_padic,
+    _principal_product,
     _product_of_powers,
+    p_adic_level,
     tau_mixed,
 )
 
@@ -68,6 +69,8 @@ class Box:
 
     def shape(self, p: int, k: int) -> tuple[int, ...]:
         """Grid points per axis at step 1 / p^k; corners must land on the grid."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
         q = p ** k
         counts = []
         for s in self.sides:
@@ -78,10 +81,16 @@ class Box:
         return tuple(counts)
 
 
-def _grid(box: Box, p: int, k: int):
-    """(idx, point) for every point of the level-k grid of the box, row-major."""
-    q = p ** k
-    for idx in product(*map(range, box.shape(p, k))):
+def _family_shape(fam: IdealFamily, box: Box, k: int) -> tuple[int, ...]:
+    """The level-k grid shape of a box with one axis per member of the family."""
+    if box.n != fam.n:
+        raise ValueError(f"box has {box.n} axes but the family has {fam.n} ideals")
+    return box.shape(fam.ring.p, k)
+
+
+def _grid(shape: tuple[int, ...], q: int):
+    """(idx, idx / q) for every index of the grid shape, row-major."""
+    for idx in product(*map(range, shape)):
         yield idx, tuple(Fraction(i, q) for i in idx)
 
 
@@ -128,12 +137,12 @@ class GridFunction:
 class _ChiOracle:
     """Call-scoped evaluator for chi with memoized bracket powers.
 
-    For an all-principal family at a point with p-power denominators,
-    tau(a^c) equals the bracket root of the weighted product g at the common
-    level s, and containment in I is equivalent to membership of g in the
-    s-th bracket power of I.  That turns one chi sample into a single normal
-    form against the bracket power's cached basis.  Other inputs fall back
-    to a full tau and a containment test.
+    For an all-principal family at a point m / p^s with integer m,
+    tau(a^c) equals the bracket root of g = prod gens_i^m_i at level s, and
+    containment in I is equivalent to membership of g in the s-th bracket
+    power of I.  That turns one chi sample into a single normal form against
+    the bracket power's cached basis.  Other inputs fall back to a full tau
+    and a containment test.
     """
 
     def __init__(self, fam: IdealFamily, cfg: TauConfig = DEFAULT_TAU_CONFIG):
@@ -143,18 +152,31 @@ class _ChiOracle:
         # from 3.6 s to 6.0-8.8 s on 2 cores: bracket roots and dedup dominate.
         self._brackets: dict[tuple[IdealGens, int], IdealGens] = {}
 
+    def chi_at(self, I: IdealGens, m: Sequence[int], s: int) -> int:
+        """chi at the point m / p^s of an all-principal family, m non-negative integers."""
+        p = self.fam.ring.p
+        # the same point at its least level keeps g and the bracket power small
+        while s and not any(m_i % p for m_i in m):
+            m = [m_i // p for m_i in m]
+            s -= 1
+        g = _principal_product(self.fam, m)
+        bracket = self._brackets.get((I, s))
+        if bracket is None:
+            bracket = bracket_power(I, FrobLevel(p, s))
+            self._brackets[(I, s)] = bracket
+        return 0 if reduces_to_zero(g, bracket) else 1
+
     def chi(self, I: IdealGens, c) -> int:
-        # only the shortcut validates c here; tau_mixed validates it itself
-        if self.fam.all_principal:
-            principal = _principal_padic(self.fam, self.fam.point(c))
-            if principal is not None:
-                g, s = principal
-                bracket = self._brackets.get((I, s))
-                if bracket is None:
-                    bracket = bracket_power(I, FrobLevel(self.fam.ring.p, s))
-                    self._brackets[(I, s)] = bracket
-                return 0 if reduces_to_zero(g, bracket) else 1
-        return 0 if ideal_contains(I, tau_mixed(self.fam, c, self.cfg)) else 1
+        fam = self.fam
+        if fam.all_principal:
+            # the level needs only the coerced coordinates; fam.point then
+            # validates the shortcut's point, and tau_mixed any other
+            point = tuple(map(as_fraction, c))
+            p = fam.ring.p
+            s = p_adic_level(point, p)
+            if s is not None:
+                return self.chi_at(I, [int(c_i * p ** s) for c_i in fam.point(point)], s)
+        return 0 if ideal_contains(I, tau_mixed(fam, c, self.cfg)) else 1
 
 
 def chi(fam: IdealFamily, I: IdealGens, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> int:
@@ -185,16 +207,12 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
     tau is interned on its generator tuple, so the reduced basis of each
     distinct presentation is computed once, on the interned object.
     """
-    if box.n != fam.n:
-        raise ValueError(f"box has {box.n} axes but the family has {fam.n} ideals")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    p = fam.ring.p
+    shape = _family_shape(fam, box, k)
     interned: dict[IdealGens, IdealGens] = {}
     # keyed by reduced basis, which determines the printed key and back
     index_of: dict[IdealGens, int] = {}
     cells = []
-    for idx, point in _grid(box, p, k):
+    for idx, point in _grid(shape, fam.ring.p ** k):
         try:
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:
@@ -202,7 +220,7 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
         gb = buchberger(interned.setdefault(tau, tau))
         cells.append(index_of.setdefault(gb, len(index_of)))
     palette = tuple(ideal_key(gb) for gb in index_of)
-    return RegionRaster(p, box, k, tuple(cells), palette)
+    return RegionRaster(fam.ring.p, box, k, tuple(cells), palette)
 
 
 def region_membership(fam: IdealFamily, c, others: Sequence[IdealGens], J: IdealGens,
@@ -252,8 +270,12 @@ def fractal_operator(phi: GridFunction, q: int, b: Sequence[int]) -> GridFunctio
 def sample_chi(fam: IdealFamily, I: IdealGens, box: Box, k: int,
                cfg: TauConfig = DEFAULT_TAU_CONFIG) -> GridFunction:
     """chi(fam, I, -) sampled on the level-k grid of the box."""
+    shape = _family_shape(fam, box, k)
     oracle = _ChiOracle(fam, cfg)
-    values = tuple(oracle.chi(I, point) for _, point in _grid(box, fam.ring.p, k))
+    if fam.all_principal:
+        values = tuple(oracle.chi_at(I, idx, k) for idx in product(*map(range, shape)))
+    else:
+        values = tuple(oracle.chi(I, point) for _, point in _grid(shape, fam.ring.p ** k))
     return GridFunction(fam.ring.p, box, k, values)
 
 
@@ -275,14 +297,23 @@ def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[
         raise ValueError(f"shift has {len(b)} coordinates, expected {fam.n}")
     if any((not isinstance(x, int)) or x < l_i - 1 or x < 0 for x, l_i in zip(b, l)):
         raise ValueError("need integer shifts with b_i >= gen_counts[i] - 1 and b_i >= 0")
+    shape = _family_shape(fam, box, k)
     p = fam.ring.p
     q = p ** e
     level = FrobLevel(p, e)
     shifted = _product_of_powers(fam, [b_i - l_i + 1 for b_i, l_i in zip(b, l)])
     colon = ideal_colon(bracket_power(I, level), shifted)
-    offset = tuple(Fraction(l_i - 1) for l_i in l)
     oracle = _ChiOracle(fam, cfg)
-    for _, t in _grid(box, p, k):
+    if fam.all_principal:
+        # t = idx / p^k, so (t + b) / p^e = (idx + b p^k) / p^(k+e); l - 1 = 0
+        step = p ** k
+        for idx in product(*map(range, shape)):
+            lhs = oracle.chi_at(I, [i + b_i * step for i, b_i in zip(idx, b)], k + e)
+            if lhs != oracle.chi_at(colon, idx, k):
+                return False
+        return True
+    offset = tuple(Fraction(l_i - 1) for l_i in l)
+    for _, t in _grid(shape, p ** k):
         lhs = oracle.chi(I, tuple((t_i + b_i) / q for t_i, b_i in zip(t, b)))
         rhs = oracle.chi(colon, tuple(t_i + o_i for t_i, o_i in zip(t, offset)))
         if lhs != rhs:

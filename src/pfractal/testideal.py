@@ -171,6 +171,16 @@ def reduce_to_single(fam: IdealFamily, r: Sequence[int]) -> IdealGens:
     return _product_of_powers(fam, r)
 
 
+def _principal_product(fam: IdealFamily, m: Sequence[int]) -> Polynomial:
+    """gens_1^m_1 ... gens_n^m_n for an all-principal family, in family order."""
+    g = None
+    for a_i, m_i in zip(fam.ideals, m):
+        if m_i:
+            power = _cached_pow(a_i.gens[0], m_i)
+            g = power if g is None else g * power
+    return fam.ring.one() if g is None else g
+
+
 def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[Polynomial, int] | None:
     """The exact principal case: (g, s) with tau(a^point) the [1/p^s] root of g.
 
@@ -183,11 +193,7 @@ def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[Polyn
     if s is None or not fam.all_principal:
         return None
     scale = p ** s
-    g = fam.ring.one()
-    for a_i, c_i in zip(fam.ideals, point):
-        if c_i:
-            g = g * _cached_pow(a_i.gens[0], int(c_i * scale))
-    return g, s
+    return _principal_product(fam, [int(c_i * scale) for c_i in point]), s
 
 
 def _degree_bound_check(fam: IdealFamily, point, result: IdealGens):

@@ -107,6 +107,15 @@ def test_fractal_check_command(capsys):
     assert json.loads(out) == {"holds": True}
 
 
+def test_fractal_check_negative_level_exit_1(capsys):
+    code, out, err = run(capsys, "fractal-check", "-p", "3", "-vars", "x,y",
+                         "-ideal", "x+y", "-ideal", "x*y", "-Igen", "x", "-Igen", "y",
+                         "-e", "1", "-b", "0,0", "-box", "1,1", "-k", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "no-such-command")
     assert code == 1

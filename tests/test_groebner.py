@@ -97,6 +97,10 @@ def test_membership_and_containment(F3xy):
     I = _ideal(F3xy, "x", "y")
     assert reduces_to_zero(F3xy.polynomial("x^2*y + x*y^2"), I)
     assert not reduces_to_zero(F3xy.polynomial("x + 1"), I)
+    # a monomial basis: every term needs some divisor, not only the first
+    J = _ideal(F3xy, "x^3", "x*y^2")
+    assert reduces_to_zero(F3xy.polynomial("x^4 + 2*x^2*y^3"), J)
+    assert not reduces_to_zero(F3xy.polynomial("x^4 + x^2*y"), J)
     assert ideal_contains(I, _ideal(F3xy, "x+y"))
     assert not ideal_contains(_ideal(F3xy, "x+y"), I)
     assert ideal_equal(_ideal(F3xy, "x", "y"), _ideal(F3xy, "x+y", "x"))
@@ -197,6 +201,37 @@ def test_membership_vs_linear_algebra(p):
 def _poly(ring, terms):
     from pfractal.algebra import Polynomial
     return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "elim"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_division_identity_and_reduced_remainder(p, order):
+    """f = sum q_i d_i + r, and no term of r is divisible by any LM(d_i)."""
+    from pfractal.algebra import grevlex_key
+    from pfractal.groebner import _divide, _elim_key
+    key = grevlex_key if order == "grevlex" else _elim_key
+    rng = random.Random(f"{p}-{order}")
+    for _ in range(60):
+        ring = Ring(p, ["t", "x", "y"][:rng.randint(2 if order == "elim" else 1, 3)])
+
+        def draw(n_terms, deg):
+            return _poly(ring, {tuple(rng.randint(0, deg) for _ in ring.vars):
+                                rng.randint(1, p - 1) for _ in range(n_terms)})
+
+        f = draw(rng.randint(1, 10), 5)
+        divisors = [d for d in (draw(rng.randint(1, 3), 3) for _ in range(rng.randint(1, 3)))
+                    if not d.is_zero]
+        if not divisors:
+            continue
+        quotients, r = _divide(f, divisors, key, want_quotients=True)
+        total = r
+        for q, d in zip(quotients, divisors):
+            total = total + q * d
+        assert total == f
+        leads = [max(d.terms, key=key) for d in divisors]
+        assert not any(all(a >= b for a, b in zip(exps, lm))
+                       for exps in r.terms for lm in leads)
+        assert _divide(f, divisors, key, want_quotients=False) == r
 
 
 @pytest.mark.parametrize("I_gens,J_gens,expect", [

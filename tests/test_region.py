@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from pfractal import (
     chi,
     fractal_operator,
     fractal_span_census,
+    ideal_contains,
     ideal_key,
     parse_polynomial,
     rasterize,
@@ -69,19 +71,63 @@ def test_chi_matches_tau_containment(staircase, maximal):
         assert chi(staircase, maximal, c) == expected
 
 
-def test_chi_oracle_agrees_with_generic_path(staircase, maximal):
-    """The principal p-adic shortcut and the full tau route must agree."""
+# (p, variables, principal members, generators of I)
+PRINCIPAL_CASES = [
+    (3, "x,y", ["x+y", "x*y"], ["x", "y"]),
+    (2, "x,y", ["x^2+y^3"], ["x", "y"]),
+    (5, "x,y", ["x", "y", "x+y"], ["x^2", "x*y", "y^3"]),
+]
+
+
+def test_chi_oracle_agrees_with_generic_path():
+    """The principal p-adic shortcut and the full tau route must agree.
+
+    Numerators are drawn as zero, as multiples of p (so the integer route
+    lowers the level first) and at random.
+    """
     from pfractal.region import _ChiOracle
     rng = random.Random(77)
-    oracle = _ChiOracle(staircase)
-    for _ in range(40):
-        e = rng.randint(0, 3)
-        q = 3 ** e
-        c = (Fraction(rng.randint(0, 2 * q), q), Fraction(rng.randint(0, 2 * q), q))
-        fast = oracle.chi(maximal, c)
-        tau = tau_mixed(staircase, c)
-        slow = 0 if all(reduces_to_zero(g, maximal) for g in tau.gens) else 1
-        assert fast == slow, c
+    for p, names, members, inner in PRINCIPAL_CASES:
+        ring = Ring(p, names.split(","))
+        fam = IdealFamily(ring, [_ideal(ring, g) for g in members])
+        I = _ideal(ring, *inner)
+        oracle = _ChiOracle(fam)
+        for _ in range(40):
+            e = rng.randint(0, 3 if p < 5 else 2)
+            q = p ** e
+            m = [rng.choice((0, p * rng.randint(0, q), rng.randint(0, 2 * q))) for _ in members]
+            c = tuple(Fraction(m_i, q) for m_i in m)
+            slow = 0 if ideal_contains(I, tau_mixed(fam, c)) else 1
+            assert oracle.chi(I, c) == slow, (p, c)
+            assert oracle.chi_at(I, m, e) == slow, (p, m, e)
+
+
+def test_sampled_chi_matches_tau_containment(staircase, maximal):
+    phi = sample_chi(staircase, maximal, Box((1, 1)), 2)
+    for idx in product(range(10), repeat=2):
+        tau = tau_mixed(staircase, phi.point_at(idx))
+        assert phi.value_at(idx) == (0 if ideal_contains(maximal, tau) else 1), idx
+
+
+def test_identity_samples_match_tau_containment(staircase, maximal, monkeypatch):
+    """Every sample of one identity grid, on both sides, equals tau_mixed plus containment."""
+    from pfractal.region import _ChiOracle
+    seen = []
+    chi_at = _ChiOracle.chi_at
+
+    def recorded(self, I, m, s):
+        value = chi_at(self, I, m, s)
+        seen.append((I, tuple(m), s, value))
+        return value
+
+    monkeypatch.setattr(_ChiOracle, "chi_at", recorded)
+    assert verify_fractal_identity(staircase, maximal, 1, (1, 2), Box((1, 1)), 2)
+    grid = set(product(range(10), repeat=2))
+    assert {m for _, m, s, _ in seen if s == 2} == grid
+    assert {m for _, m, s, _ in seen if s == 3} == {(i + 9, j + 18) for i, j in grid}
+    for I, m, s, value in seen:
+        tau = tau_mixed(staircase, tuple(Fraction(m_i, 3 ** s) for m_i in m))
+        assert value == (0 if ideal_contains(I, tau) else 1), (m, s)
 
 
 def test_chi_validates_each_sample_once(F3xy, maximal, monkeypatch):
@@ -98,6 +144,41 @@ def test_chi_validates_each_sample_once(F3xy, maximal, monkeypatch):
     phi = sample_chi(fam, maximal, Box((2,)), 2)
     assert len(phi.values) == 19
     assert len(calls) == 19
+
+
+def test_principal_chi_validates_once_on_both_branches(staircase, maximal, monkeypatch):
+    """(1/2, 1/2) is not 3-adic and falls back to tau_mixed; (1/3, 1/3) takes the shortcut."""
+    calls = []
+    point = IdealFamily.point
+
+    def counted(self, coords):
+        calls.append(coords)
+        return point(self, coords)
+
+    monkeypatch.setattr(IdealFamily, "point", counted)
+    for c in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))):
+        calls.clear()
+        chi(staircase, maximal, c)
+        assert len(calls) == 1, c
+
+
+def test_negative_grid_level_rejected(staircase, maximal):
+    box = Box((1, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        box.shape(3, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        GridFunction(3, box, -1, ())
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_chi(staircase, maximal, box, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        verify_fractal_identity(staircase, maximal, 1, (0, 2), box, -1)
+
+
+def test_chi_grids_need_one_axis_per_member(staircase, maximal):
+    with pytest.raises(ValueError, match="axes"):
+        sample_chi(staircase, maximal, Box((1,)), 1)
+    with pytest.raises(ValueError, match="axes"):
+        verify_fractal_identity(staircase, maximal, 1, (0, 2), Box((1, 1, 1)), 1)
 
 
 def test_chi_downset_on_diagonal(staircase, maximal):
