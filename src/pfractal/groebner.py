@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import ge
+from operator import le
 from typing import Iterator, Sequence
 
 from .algebra import IdealGens, Polynomial, Ring, grevlex_key
@@ -44,10 +44,6 @@ def pair_budget(max_pairs: int) -> Iterator[None]:
 
 def _lcm_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _lead(f: Polynomial, key) -> tuple[tuple[int, ...], int]:
@@ -87,7 +83,7 @@ def _divide(f: Polynomial, divisors: Sequence[Polynomial], key, want_quotients: 
         if not coeff:
             continue
         for idx, (lm, lc_inv, dterms) in enumerate(table):
-            if all(map(ge, lead, lm)):
+            if all(map(le, lm, lead)):
                 shift = tuple(x - y for x, y in zip(lead, lm))
                 q = coeff * lc_inv % p
                 if want_quotients:
@@ -133,7 +129,7 @@ def reduces_to_zero(f: Polynomial, I: IdealGens) -> bool:
         lms = [lm for g in basis for lm in g.terms]
         for exps in f.terms:
             for lm in lms:
-                if all(map(ge, exps, lm)):
+                if all(map(le, lm, exps)):
                     break
             else:
                 return False
@@ -199,7 +195,7 @@ def _reduce_basis(basis: list[Polynomial], key) -> list[Polynomial]:
     minimal: list[Polynomial] = []
     for g in basis:
         lm = _lead(g, key)[0]
-        if not any(_divides(_lead(h, key)[0], lm) for h in minimal):
+        if not any(all(map(le, _lead(h, key)[0], lm)) for h in minimal):
             minimal.append(g)
     reduced = []
     for idx, g in enumerate(minimal):

@@ -30,9 +30,9 @@ from .testideal import (
     IdealFamily,
     NotStabilizedError,
     TauConfig,
+    _principal_padic,
     _principal_product,
     _product_of_powers,
-    p_adic_level,
     tau_mixed,
 )
 
@@ -86,12 +86,6 @@ def _family_shape(fam: IdealFamily, box: Box, k: int) -> tuple[int, ...]:
     if box.n != fam.n:
         raise ValueError(f"box has {box.n} axes but the family has {fam.n} ideals")
     return box.shape(fam.ring.p, k)
-
-
-def _grid(shape: tuple[int, ...], q: int):
-    """(idx, idx / q) for every index of the grid shape, row-major."""
-    for idx in product(*map(range, shape)):
-        yield idx, tuple(Fraction(i, q) for i in idx)
 
 
 def _flat_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
@@ -153,13 +147,18 @@ class _ChiOracle:
         self._brackets: dict[tuple[IdealGens, int], IdealGens] = {}
 
     def chi_at(self, I: IdealGens, m: Sequence[int], s: int) -> int:
-        """chi at the point m / p^s of an all-principal family, m non-negative integers."""
-        p = self.fam.ring.p
+        """chi at the point m / p^s, m a vector of non-negative integers."""
+        fam = self.fam
+        p = fam.ring.p
+        if not fam.all_principal:
+            q = p ** s
+            tau = tau_mixed(fam, tuple(Fraction(m_i, q) for m_i in m), self.cfg)
+            return 0 if ideal_contains(I, tau) else 1
         # the same point at its least level keeps g and the bracket power small
         while s and not any(m_i % p for m_i in m):
             m = [m_i // p for m_i in m]
             s -= 1
-        g = _principal_product(self.fam, m)
+        g = _principal_product(fam, m)
         bracket = self._brackets.get((I, s))
         if bracket is None:
             bracket = bracket_power(I, FrobLevel(p, s))
@@ -167,16 +166,14 @@ class _ChiOracle:
         return 0 if reduces_to_zero(g, bracket) else 1
 
     def chi(self, I: IdealGens, c) -> int:
-        fam = self.fam
-        if fam.all_principal:
-            # the level needs only the coerced coordinates; fam.point then
-            # validates the shortcut's point, and tau_mixed any other
-            point = tuple(map(as_fraction, c))
-            p = fam.ring.p
-            s = p_adic_level(point, p)
-            if s is not None:
-                return self.chi_at(I, [int(c_i * p ** s) for c_i in fam.point(point)], s)
-        return 0 if ideal_contains(I, tau_mixed(fam, c, self.cfg)) else 1
+        # the shortcut needs only the coerced coordinates; fam.point then
+        # validates the shortcut's point, and tau_mixed any other
+        point = tuple(map(as_fraction, c))
+        principal = _principal_padic(self.fam, point)
+        if principal is None:
+            return 0 if ideal_contains(I, tau_mixed(self.fam, c, self.cfg)) else 1
+        self.fam.point(point)
+        return self.chi_at(I, *principal)
 
 
 def chi(fam: IdealFamily, I: IdealGens, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> int:
@@ -212,7 +209,9 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
     # keyed by reduced basis, which determines the printed key and back
     index_of: dict[IdealGens, int] = {}
     cells = []
-    for idx, point in _grid(shape, fam.ring.p ** k):
+    q = fam.ring.p ** k
+    for idx in product(*map(range, shape)):
+        point = tuple(Fraction(i, q) for i in idx)
         try:
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:
@@ -272,10 +271,7 @@ def sample_chi(fam: IdealFamily, I: IdealGens, box: Box, k: int,
     """chi(fam, I, -) sampled on the level-k grid of the box."""
     shape = _family_shape(fam, box, k)
     oracle = _ChiOracle(fam, cfg)
-    if fam.all_principal:
-        values = tuple(oracle.chi_at(I, idx, k) for idx in product(*map(range, shape)))
-    else:
-        values = tuple(oracle.chi(I, point) for _, point in _grid(shape, fam.ring.p ** k))
+    values = tuple(oracle.chi_at(I, idx, k) for idx in product(*map(range, shape)))
     return GridFunction(fam.ring.p, box, k, values)
 
 
@@ -299,24 +295,17 @@ def verify_fractal_identity(fam: IdealFamily, I: IdealGens, e: int, b: Sequence[
         raise ValueError("need integer shifts with b_i >= gen_counts[i] - 1 and b_i >= 0")
     shape = _family_shape(fam, box, k)
     p = fam.ring.p
-    q = p ** e
-    level = FrobLevel(p, e)
     shifted = _product_of_powers(fam, [b_i - l_i + 1 for b_i, l_i in zip(b, l)])
-    colon = ideal_colon(bracket_power(I, level), shifted)
+    colon = ideal_colon(bracket_power(I, FrobLevel(p, e)), shifted)
     oracle = _ChiOracle(fam, cfg)
-    if fam.all_principal:
-        # t = idx / p^k, so (t + b) / p^e = (idx + b p^k) / p^(k+e); l - 1 = 0
-        step = p ** k
-        for idx in product(*map(range, shape)):
-            lhs = oracle.chi_at(I, [i + b_i * step for i, b_i in zip(idx, b)], k + e)
-            if lhs != oracle.chi_at(colon, idx, k):
-                return False
-        return True
-    offset = tuple(Fraction(l_i - 1) for l_i in l)
-    for _, t in _grid(shape, p ** k):
-        lhs = oracle.chi(I, tuple((t_i + b_i) / q for t_i, b_i in zip(t, b)))
-        rhs = oracle.chi(colon, tuple(t_i + o_i for t_i, o_i in zip(t, offset)))
-        if lhs != rhs:
+    # t = idx / p^k, so (t + b) / p^e = (idx + b p^k) / p^(k+e)
+    # and t + l - 1 = (idx + (l - 1) p^k) / p^k
+    step = p ** k
+    lhs_shift = [b_i * step for b_i in b]
+    rhs_shift = [(l_i - 1) * step for l_i in l]
+    for idx in product(*map(range, shape)):
+        lhs = oracle.chi_at(I, [i + d for i, d in zip(idx, lhs_shift)], k + e)
+        if lhs != oracle.chi_at(colon, [i + d for i, d in zip(idx, rhs_shift)], k):
             return False
     return True
 

@@ -181,19 +181,21 @@ def _principal_product(fam: IdealFamily, m: Sequence[int]) -> Polynomial:
     return fam.ring.one() if g is None else g
 
 
-def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[Polynomial, int] | None:
-    """The exact principal case: (g, s) with tau(a^point) the [1/p^s] root of g.
+def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[list[int], int] | None:
+    """The exact principal case: (m, s) with point = m / p^s.
 
     Applies when every member is principal and every coordinate has a
-    p-power denominator; s is the common level and g the product of the
-    generators raised to point * p^s.  None otherwise.
+    p-power denominator; s is the least common level, and tau(a^point) is
+    the [1/p^s] root of _principal_product(fam, m).  None otherwise.
     """
+    if not fam.all_principal:
+        return None
     p = fam.ring.p
     s = p_adic_level(point, p)
-    if s is None or not fam.all_principal:
+    if s is None:
         return None
     scale = p ** s
-    return _principal_product(fam, [int(c_i * scale) for c_i in point]), s
+    return [int(c_i * scale) for c_i in point], s
 
 
 def _degree_bound_check(fam: IdealFamily, point, result: IdealGens):
@@ -246,8 +248,8 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
     factor, residual = skoda_reduce(fam, c)
     principal = _principal_padic(fam, residual)
     if principal is not None:
-        g, s = principal
-        core = poly_bracket_root(g, FrobLevel(fam.ring.p, s))
+        m, s = principal
+        core = poly_bracket_root(_principal_product(fam, m), FrobLevel(fam.ring.p, s))
     else:
         core = _windowed_tau(fam, residual, cfg)
     if factor.has_unit_generator():

@@ -203,6 +203,21 @@ def _poly(ring, terms):
     return Polynomial(ring, terms)
 
 
+def test_descending_keys_reverse_their_orders():
+    """Each descending key sorts monomials exactly opposite to its order key."""
+    from pfractal.algebra import grevlex_key
+    from pfractal.groebner import _DESCENDING, _elim_key
+    rng = random.Random(11)
+    assert set(_DESCENDING) == {grevlex_key, _elim_key}
+    for key, desc in _DESCENDING.items():
+        for n in (1, 2, 3, 4):
+            if key is _elim_key and n < 2:
+                continue
+            # few distinct degrees, so ties on the leading parts are common
+            exps = list({tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(60)})
+            assert sorted(exps, key=desc) == sorted(exps, key=key, reverse=True), (key, n)
+
+
 @pytest.mark.parametrize("order", ["grevlex", "elim"])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_division_identity_and_reduced_remainder(p, order):

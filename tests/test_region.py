@@ -109,9 +109,18 @@ def test_sampled_chi_matches_tau_containment(staircase, maximal):
         assert phi.value_at(idx) == (0 if ideal_contains(maximal, tau) else 1), idx
 
 
-def test_identity_samples_match_tau_containment(staircase, maximal, monkeypatch):
-    """Every sample of one identity grid, on both sides, equals tau_mixed plus containment."""
+@pytest.mark.parametrize("members,b", [
+    ((("x+y",), ("x*y",)), (1, 2)),  # all principal: l - 1 = 0
+    ((("x", "y"), ("x*y",)), (2, 2)),  # l = (2, 1)
+])
+def test_identity_samples_match_tau_containment(F3xy, maximal, monkeypatch, members, b):
+    """Every sample of one identity grid equals tau_mixed plus containment.
+
+    The right side sits at idx + (l - 1) 3^k on level k, the left side at
+    idx + b 3^k on level k + 1, and both grids are complete.
+    """
     from pfractal.region import _ChiOracle
+    fam = IdealFamily(F3xy, [_ideal(F3xy, *gens) for gens in members])
     seen = []
     chi_at = _ChiOracle.chi_at
 
@@ -121,12 +130,16 @@ def test_identity_samples_match_tau_containment(staircase, maximal, monkeypatch)
         return value
 
     monkeypatch.setattr(_ChiOracle, "chi_at", recorded)
-    assert verify_fractal_identity(staircase, maximal, 1, (1, 2), Box((1, 1)), 2)
-    grid = set(product(range(10), repeat=2))
-    assert {m for _, m, s, _ in seen if s == 2} == grid
-    assert {m for _, m, s, _ in seen if s == 3} == {(i + 9, j + 18) for i, j in grid}
+    k, q = 1, 3
+    assert verify_fractal_identity(fam, maximal, 1, b, Box((1, 1)), k)
+    grid = list(product(range(q + 1), repeat=2))
+    l = fam.gen_counts
+    assert {m for _, m, s, _ in seen if s == k} == {
+        tuple(i + (l_i - 1) * q for i, l_i in zip(idx, l)) for idx in grid}
+    assert {m for _, m, s, _ in seen if s == k + 1} == {
+        tuple(i + b_i * q for i, b_i in zip(idx, b)) for idx in grid}
     for I, m, s, value in seen:
-        tau = tau_mixed(staircase, tuple(Fraction(m_i, 3 ** s) for m_i in m))
+        tau = tau_mixed(fam, tuple(Fraction(m_i, 3 ** s) for m_i in m))
         assert value == (0 if ideal_contains(I, tau) else 1), (m, s)
 
 
