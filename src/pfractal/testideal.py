@@ -161,13 +161,13 @@ def _check_weights(fam: IdealFamily, r: Sequence[int]) -> None:
         raise ValueError(f"expected {fam.n} weights, got {len(r)}")
     if any((not isinstance(x, int)) or x < 0 for x in r):
         raise ValueError("weights must be non-negative integers")
+    if not any(r):
+        raise ValueError("at least one weight must be positive")
 
 
 def reduce_to_single(fam: IdealFamily, r: Sequence[int]) -> IdealGens:
     """The weighted product J with tau(a_1^(t r_1) ... a_n^(t r_n)) = tau(J^t)."""
     _check_weights(fam, r)
-    if not any(r):
-        raise ValueError("at least one weight must be positive")
     return _product_of_powers(fam, r)
 
 
@@ -267,24 +267,30 @@ def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> Ideal
 _SEARCH_CAP = 1_000_000  # a containment search past this power raises UnboundedError
 
 
-def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, what: str) -> int:
+def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, what: str,
+                        bracket: tuple[int, int] | None = None) -> int:
     """Least positive m with a_1^(m r_1) ... a_n^(m r_n) inside target; cap guarded.
 
-    Containment is monotone in m.  Each probe raises the members one by one
-    (a principal member by base-p splitting), so a non-principal weighted
-    product's generator list is never squared.
+    Containment is monotone in m.  A bracket (lo, hi), with power lo known
+    outside and power hi known inside, is bisected without probing its ends;
+    without one, hi is found by doubling from 1.  Each probe raises the
+    members one by one (a principal member by base-p splitting), so a
+    non-principal weighted product's generator list is never squared.
     """
     def contained(m: int) -> bool:
         return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
 
-    hi = 1
-    while not contained(hi):
-        if hi > _SEARCH_CAP:
-            raise UnboundedError(
-                f"{what}: containment still fails at m={hi}; radical condition violated?"
-            )
-        hi *= 2
-    lo = hi // 2
+    if bracket is None:
+        hi = 1
+        while not contained(hi):
+            if hi > _SEARCH_CAP:
+                raise UnboundedError(
+                    f"{what}: containment still fails at m={hi}; radical condition violated?"
+                )
+            hi *= 2
+        lo = hi // 2
+    else:
+        lo, hi = bracket
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if contained(mid):
@@ -298,9 +304,10 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
     Containment is monotone in m, so an exponential probe followed by binary
-    search finds the boundary.  Raises ZeroRegionError when I is the unit
-    ideal (even m = 0 is contained) and UnboundedError when no containment
-    shows up below _SEARCH_CAP.
+    search finds the boundary.  Raises ValueError unless some weight is
+    positive (then no power ever leaves the unit ideal), ZeroRegionError
+    when I is the unit ideal (even m = 0 is contained) and UnboundedError
+    when no containment shows up below _SEARCH_CAP.
     """
     _check_weights(fam, r)
     target = bracket_power(I, FrobLevel(fam.ring.p, e))
@@ -318,16 +325,32 @@ class FThresholdResult:
 def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) -> FThresholdResult:
     """The non-decreasing sequence v_e / p^e for e = 1..e_max, with limit bracket.
 
-    The limit lies in [values[-1], l*s] where s counts the generators of the
-    weighted product ideal and l is the least power with a^(l r) inside I.
+    v_1 comes from v_number.  Each later level is bisected inside a bracket
+    from the one before: with J the weighted product, s = len(J.gens) and
+    q = p^(e-1), the least power of J inside I^[pq] lies in
+    (p v_(e-1), p (v_(e-1) + 1) + (s - 1)(p - 1)].
+      - Lower end: Frobenius is flat, so J^v not inside I^[q] gives
+        (J^v)^[p] not inside I^[pq], and (J^v)^[p] lies in J^(pv).
+      - Upper end: a product of N = p a + (s - 1)(p - 1) generators of J has
+        exponents n_i = p b_i + c_i with c_i <= p - 1, so sum b_i >= a and
+        J^N lies in (J^a)^[p]; with a = v + 1 and J^(v+1) inside I^[q] this
+        puts J^N inside I^[pq].
+    The limit lies in [values[-1], l*s] where l is the least power with
+    a^(l r) inside I.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     p = fam.ring.p
-    values = tuple(Fraction(v_number(fam, r, I, e), p ** e) for e in range(1, e_max + 1))
-    J = reduce_to_single(fam, r)
+    v = v_number(fam, r, I, 1)
+    s = len(reduce_to_single(fam, r).gens)
+    values = [Fraction(v, p)]
+    for e in range(2, e_max + 1):
+        target = bracket_power(I, FrobLevel(p, e))
+        bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
+        v = _least_power_inside(fam, r, target, "v-number search", bracket) - 1
+        values.append(Fraction(v, p ** e))
     l_min = _least_power_inside(fam, r, I, "threshold bound search")
-    return FThresholdResult(values, Fraction(l_min * len(J.gens)))
+    return FThresholdResult(tuple(values), Fraction(l_min * s))
 
 
 @dataclass(frozen=True)
@@ -342,8 +365,15 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
                  cfg: TauConfig = DEFAULT_TAU_CONFIG) -> list[JumpRecord]:
     """Locate jumps of t -> tau(J^t), J the weighted product, on the level-k grid.
 
-    Scans t = m / p^k for m = 0..ceil(bound * p^k) and reports each cell
-    ((m-1)/p^k, m/p^k] where the canonical key changes.
+    Reports, in ascending order, each cell ((m-1)/p^k, m/p^k] with
+    0 < m <= ceil(bound * p^k) where the canonical key changes.  When J is
+    principal every grid point takes the exact principal route, and tau is
+    antitone in t: equal keys at lo < hi mean tau(J^(lo/p^k)) and
+    tau(J^(hi/p^k)) are one ideal that squeezes tau at every point between,
+    so the walk bisects only intervals whose end keys differ.  Otherwise the
+    values come from the confirmation window, which need not be antitone,
+    so the walk steps through every m in ascending order and meets the
+    first NotStabilizedError of a full scan.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -354,11 +384,25 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     single = IdealFamily(fam.ring, (J,))
     q = fam.ring.p ** k
     top = _ceil(bound * q)
+
+    def key_at(m: int) -> str:
+        return ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
+
+    # a principal J is walked as one interval, a windowed one in unit steps
+    step = top if single.all_principal else 1
+    ends: list[tuple[int, str]] = []  # (m, key) of right ends left to walk, the nearest last
     jumps: list[JumpRecord] = []
-    prev_key: str | None = None
-    for m in range(top + 1):
-        key = ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
-        if m > 0 and key != prev_key:
-            jumps.append(JumpRecord(Fraction(m - 1, q), Fraction(m, q), prev_key, key))
-        prev_key = key
+    lo, key_lo = 0, key_at(0)
+    while lo < top:
+        if not ends:
+            ends.append((lo + step, key_at(lo + step)))
+        hi, key_hi = ends[-1]
+        if key_hi != key_lo and hi - lo > 1:
+            mid = (lo + hi) // 2
+            ends.append((mid, key_at(mid)))
+            continue
+        if key_hi != key_lo:
+            jumps.append(JumpRecord(Fraction(lo, q), Fraction(hi, q), key_lo, key_hi))
+        ends.pop()
+        lo, key_lo = hi, key_hi
     return jumps

@@ -1,6 +1,10 @@
 """Command line wrapper: grammar, JSON output, exit codes, artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,26 @@ def test_threshold_command(capsys):
                        "-r", "1,1", "-Igen", "x", "-Igen", "y", "-e-max", "3")
     assert code == 0
     assert json.loads(out) == ["1/3", "5/9", "17/27"]
+
+
+def test_threshold_all_zero_weights_exit_1(capsys):
+    code, out, err = run(capsys, "threshold", *STAIRCASE, "-r", "0,0",
+                         "-Igen", "x", "-Igen", "y", "-e-max", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: at least one weight must be positive\n"
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pfractal", "threshold", *STAIRCASE,
+         "-r", "1,1", "-Igen", "x", "-Igen", "y", "-e-max", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["1/3", "5/9", "17/27"]
 
 
 def test_jump_command(capsys):

@@ -1,5 +1,6 @@
 """Mixed test ideals, Skoda peeling, F-thresholds and jumping data."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -294,6 +295,139 @@ def test_jumping_scan_single_axis(F3xy):
 def test_jumping_scan_requires_positive_direction(staircase):
     with pytest.raises(ValueError):
         jumping_scan(staircase, (0, 0), 1, Fraction(1))
+
+
+def _full_scan(fam, r, k, bound):
+    """The jump records of a scan that evaluates tau at every grid point."""
+    single = IdealFamily(fam.ring, [reduce_to_single(fam, r)])
+    q = fam.ring.p ** k
+    top = math.ceil(Fraction(bound) * q)
+    keys = [ideal_key(tau_mixed(single, (Fraction(m, q),))) for m in range(top + 1)]
+    return [(Fraction(m - 1, q), Fraction(m, q), keys[m - 1], keys[m])
+            for m in range(1, top + 1) if keys[m] != keys[m - 1]]
+
+
+def _records(jumps):
+    return [(j.lo, j.hi, j.key_before, j.key_after) for j in jumps]
+
+
+@pytest.mark.parametrize("p,texts,k_max", [
+    (2, ("x^2+y^3",), 4),
+    (2, ("x+y", "x*y"), 4),
+    (3, ("x+y", "x*y"), 4),
+    (3, ("x^2",), 4),
+    (5, ("x^2+y^3",), 3),
+    (5, ("x^2*y+x*y^3",), 2),
+    (7, ("x^3+y^4",), 2),
+    (7, ("x*y*(x+y)",), 2),
+])
+def test_jumping_scan_matches_a_full_scan(p, texts, k_max):
+    """Bisection on a principal weighted product finds every jump of the full scan."""
+    ring = Ring(p, ["x", "y"])
+    fam = IdealFamily(ring, [_ideal(ring, t) for t in texts])
+    r = (1,) * len(texts)
+    for k in range(k_max + 1):
+        for bound in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+            assert _records(jumping_scan(fam, r, k, bound)) == _full_scan(fam, r, k, bound)
+
+
+def test_jumping_scan_non_principal_matches_a_full_scan(F3xy):
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y")])
+    assert _records(jumping_scan(fam, (1,), 2, 2)) == _full_scan(fam, (1,), 2, 2)
+
+
+def _count_tau_calls(monkeypatch):
+    import pfractal.testideal as testideal
+    calls = []
+    original = testideal.tau_mixed
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(testideal, "tau_mixed", counted)
+    return calls
+
+
+def test_jumping_scan_bisects_a_principal_line(staircase, monkeypatch):
+    calls = _count_tau_calls(monkeypatch)
+    jumps = jumping_scan(staircase, (1, 1), 5, 1)
+    assert [(str(j.lo), str(j.hi)) for j in jumps] == [("161/243", "2/3"), ("242/243", "1")]
+    assert len(calls) <= 40
+    assert len(calls) == len(set(calls))
+
+
+def test_jumping_scan_walks_every_windowed_point(F3xy, monkeypatch):
+    """Window values need not be antitone: every grid point is evaluated, in order."""
+    calls = _count_tau_calls(monkeypatch)
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y")])
+    jumping_scan(fam, (1,), 2, 2)
+    assert calls == [(Fraction(m, 9),) for m in range(19)]
+
+
+def _staircase_and_maximal():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x+y"), _ideal(ring, "x*y")]), _ideal(ring, "x", "y")
+
+
+def _cusp(p):
+    ring = Ring(p, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x^2+y^3")]), _ideal(ring, "x", "y")
+
+
+def _monomial():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x^2", "y^3")]), _ideal(ring, "x", "y")
+
+
+def _two_planes():
+    ring = Ring(3, ["x", "y", "z"])
+    fam = IdealFamily(ring, [_ideal(ring, "x", "y"), _ideal(ring, "x", "z")])
+    return fam, _ideal(ring, "x", "y", "z")
+
+
+@pytest.mark.parametrize("make,r,e_max", [
+    (_staircase_and_maximal, (1, 1), 6),
+    (lambda: _cusp(2), (1,), 6),
+    (lambda: _cusp(5), (1,), 4),
+    (_monomial, (1,), 4),
+    (_two_planes, (1, 1), 3),
+], ids=["staircase", "cusp-p2", "cusp-p5", "monomial", "two-planes"])
+def test_f_threshold_matches_v_number_at_every_level(make, r, e_max):
+    fam, I = make()
+    p = fam.ring.p
+    res = f_threshold(fam, r, I, e_max)
+    assert res.values == tuple(Fraction(v_number(fam, r, I, e), p ** e)
+                               for e in range(1, e_max + 1))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_v_number_bracket_from_the_level_before(p):
+    """p v_e <= v_(e+1) <= p (v_e + 1) + (s - 1)(p - 1) - 1 with s generators of J."""
+    ring = Ring(p, ["x", "y"])
+    rng = random.Random(800 + p)
+    maximal = _ideal(ring, "x", "y")
+    checked = 0
+    while checked < 6:
+        members = [IdealGens(ring, [_random_poly(ring, rng, deg=2, nterms=2)
+                                    for _ in range(rng.randint(1, 2))])
+                   for _ in range(rng.randint(1, 2))]
+        if any((0, 0) in g.terms or not g.terms for a in members for g in a.gens):
+            continue  # every member must lie in (x, y), or no power of J does
+        fam = IdealFamily(ring, members)
+        r = tuple(rng.randint(1, 2) for _ in members)
+        s = len(reduce_to_single(fam, r).gens)
+        v = [v_number(fam, r, maximal, e) for e in range(1, 4 if p < 5 else 3)]
+        for lower, upper in zip(v, v[1:]):
+            assert p * lower <= upper <= p * (lower + 1) + (s - 1) * (p - 1) - 1
+        checked += 1
+
+
+def test_all_zero_weights_rejected_before_any_search(staircase, maximal):
+    for search in (lambda: v_number(staircase, (0, 0), maximal, 1),
+                   lambda: f_threshold(staircase, (0, 0), maximal, 3)):
+        with pytest.raises(ValueError, match="at least one weight must be positive"):
+            search()
 
 
 # -------------------------------------------------------------- random suites
