@@ -56,7 +56,10 @@ def poly_bracket_root(h: Polynomial, level: FrobLevel) -> IdealGens:
     q.  For the class with representative a (componentwise in [0, q)), the
     terms x^v with v = q*w + a contribute coeff * x^w to one generator;
     coefficients carry over unchanged because c^q = c on F_p.  The generators
-    over all classes present in h give J.
+    over all classes present in h give J, in the order of the sorted
+    representatives.  Classes with equal term sets (most often constants)
+    give one generator, kept at its first class, before any Polynomial is
+    built.
     """
     if h.is_zero:
         raise ValueError("bracket root of the zero polynomial")
@@ -64,13 +67,15 @@ def poly_bracket_root(h: Polynomial, level: FrobLevel) -> IdealGens:
     q = level.q
     if q == 1:
         return IdealGens(h.ring, (h,))
+    rmod, rfloordiv = q.__rmod__, q.__rfloordiv__
     buckets: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for exps, c in h.terms.items():
-        rep = tuple(e % q for e in exps)
-        quot = tuple(e // q for e in exps)
-        buckets.setdefault(rep, {})[quot] = c
-    gens = [Polynomial._make(h.ring, buckets[rep]) for rep in sorted(buckets)]
-    return IdealGens(h.ring, gens)
+        buckets.setdefault(tuple(map(rmod, exps)), {})[tuple(map(rfloordiv, exps))] = c
+    distinct: dict[frozenset, dict[tuple[int, ...], int]] = {}
+    for rep in sorted(buckets):
+        terms = buckets[rep]
+        distinct.setdefault(frozenset(terms.items()), terms)
+    return IdealGens(h.ring, [Polynomial._make(h.ring, terms) for terms in distinct.values()])
 
 
 def ideal_bracket_root(b: IdealGens, level: FrobLevel) -> IdealGens:

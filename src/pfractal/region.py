@@ -143,7 +143,8 @@ class _ChiOracle:
         self.fam = fam
         self.cfg = cfg
         # Kept over tau_mixed plus containment, which took the fractal workload
-        # from 3.6 s to 6.0-8.8 s on 2 cores: bracket roots and dedup dominate.
+        # from 2.6 s to 6.6 s (bench/run.py, seed 0, 2 cores, Python 3.11):
+        # bracket roots and dedup dominate.
         self._brackets: dict[tuple[IdealGens, int], IdealGens] = {}
 
     def chi_at(self, I: IdealGens, m: Sequence[int], s: int) -> int:

@@ -3,9 +3,10 @@
 The mixed test ideal tau(a_1^c_1 ... a_n^c_n) is the stable member of the
 increasing chain of bracket roots of a_1^ceil(c_1 q) ... a_n^ceil(c_n q) as
 q = p^e grows.  Principal ideals with p-power-denominator exponents admit an
-exact shortcut (a single bracket root, no stabilization loop), and Skoda's
+exact shortcut: a single bracket root of the whole product, with no
+stabilization loop and no Skoda peeling.  At every other point Skoda's
 theorem peels off integer units of any coordinate that reaches the generator
-count of its ideal.
+count of its ideal before the loop runs.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class TauConfig:
 DEFAULT_TAU_CONFIG = TauConfig()
 
 
-# Kept: without it the k=4 staircase raster took 1.24-1.53 s instead of
-# 0.89-1.02 s and the fractal workload 8.0-8.7 s instead of 3.1-3.5 s
-# (2 cores, Python 3.11).
+# Kept: without it the k=4 staircase raster took 1.88 s instead of 0.81 s
+# and the fractal workload 8.4 s instead of 2.6 s (bench/run.py, seed 0,
+# 20 s per run, 2 cores, Python 3.11).
 @lru_cache(maxsize=4096)
 def _cached_pow(f: Polynomial, n: int) -> Polynomial:
     return poly_pow(f, n)
@@ -143,17 +144,23 @@ def _product_of_powers(fam: IdealFamily, exponents: Sequence[int]) -> IdealGens:
     return prod
 
 
+def _skoda_split(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[IdealGens, tuple[Fraction, ...]]:
+    """skoda_reduce on a point that fam.point has already validated."""
+    peeled = [_floor(c - m_i) + 1 if c >= m_i else 0 for c, m_i in zip(point, fam.gen_counts)]
+    residual = tuple(c - k for c, k in zip(point, peeled))
+    return _product_of_powers(fam, peeled), residual
+
+
 def skoda_reduce(fam: IdealFamily, s) -> tuple[IdealGens, tuple[Fraction, ...]]:
     """Split tau(a^s) = factor * tau(a^residual) by peeling integer units.
 
     One unit of a_i comes off while s_i >= gen_counts[i], so the residual
     satisfies residual_i < gen_counts[i].  The factor is the product of the
-    peeled ideal powers (the unit ideal when nothing peels).
+    peeled ideal powers (the unit ideal when nothing peels).  tau_mixed
+    peels only points that go through the stabilization window; a principal
+    point with p-power denominators needs no peeling (see tau_mixed).
     """
-    point = fam.point(s)
-    peeled = [_floor(c - m_i) + 1 if c >= m_i else 0 for c, m_i in zip(point, fam.gen_counts)]
-    residual = tuple(c - k for c, k in zip(point, peeled))
-    return _product_of_powers(fam, peeled), residual
+    return _skoda_split(fam, fam.point(s))
 
 
 def _check_weights(fam: IdealFamily, r: Sequence[int]) -> None:
@@ -237,34 +244,54 @@ def _windowed_tau(fam: IdealFamily, point: Sequence[Fraction], cfg: TauConfig) -
 def tau_mixed(fam: IdealFamily, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> IdealGens:
     """The mixed test ideal tau(a_1^c_1 ... a_n^c_n).
 
-    Order of attack: Skoda peeling first, then, on the residual point, the
-    exact principal shortcut when every member is principal and every
-    exponent has a p-power denominator, finally the stabilization loop over
-    Frobenius levels with a confirmation window.  Raises NotStabilizedError
-    when the window is not confirmed by level e_max.  The degree audit
-    skips the principal shortcut: a generator of the [1/p^s] root of g has
-    degree at most deg(g) / p^s <= d * |c|.
+    Order of attack: when every member is principal and every exponent has
+    a p-power denominator, the exact shortcut takes one bracket root of the
+    whole product and nothing else.  Skoda needs no peeling there, because
+    (g k^q)^[1/q] = g^[1/q] k for principal members.  Any other point is
+    validated once, Skoda-peeled, and its residual goes through the
+    stabilization loop over Frobenius levels with a confirmation window.
+    Raises NotStabilizedError when the window is not confirmed by level
+    e_max.  The degree audit skips the principal shortcut: a generator of
+    the [1/p^s] root of g has degree at most deg(g) / p^s <= d * |c|.
     """
-    factor, residual = skoda_reduce(fam, c)
-    principal = _principal_padic(fam, residual)
+    point = fam.point(c)
+    principal = _principal_padic(fam, point)
     if principal is not None:
         m, s = principal
-        core = poly_bracket_root(_principal_product(fam, m), FrobLevel(fam.ring.p, s))
-    else:
-        core = _windowed_tau(fam, residual, cfg)
+        return poly_bracket_root(_principal_product(fam, m), FrobLevel(fam.ring.p, s))
+    factor, residual = _skoda_split(fam, point)
+    core = _windowed_tau(fam, residual, cfg)
     if factor.has_unit_generator():
         return core
     result = ideal_product(factor, core)
-    if cfg.degree_check:
+    if cfg.degree_check and p_adic_level(point, fam.ring.p) is not None:
         # a peeled product at a p-adic point can expose a window that
         # accepted below the point's p-adic level
-        point = fam.point(c)
-        if p_adic_level(point, fam.ring.p) is not None:
-            _degree_bound_check(fam, point, result)
+        _degree_bound_check(fam, point, result)
     return result
 
 
 _SEARCH_CAP = 1_000_000  # a containment search past this power raises UnboundedError
+
+
+def _support(exps: Sequence[int]) -> frozenset[int]:
+    return frozenset(i for i, e in enumerate(exps) if e)
+
+
+def _outside_monomial_radical(J: IdealGens, target: IdealGens) -> bool:
+    """Whether target is a monomial ideal and J is not inside its radical.
+
+    target is monomial exactly when its reduced basis is.  The radical of a
+    monomial ideal is generated by the supports of its basis monomials, and
+    a polynomial lies in it when each of its terms does, so then no power
+    of J ever enters target.  False for any other target.
+    """
+    basis = buchberger(target).gens
+    if any(len(g.terms) != 1 for g in basis):
+        return False
+    supports = [_support(exps) for g in basis for exps in g.terms]
+    return any(not any(S <= _support(exps) for S in supports)
+               for g in J.gens for exps in g.terms)
 
 
 def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, what: str,
@@ -273,16 +300,25 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, w
 
     Containment is monotone in m.  A bracket (lo, hi), with power lo known
     outside and power hi known inside, is bisected without probing its ends;
-    without one, hi is found by doubling from 1.  Each probe raises the
-    members one by one (a principal member by base-p splitting), so a
-    non-principal weighted product's generator list is never squared.
+    without one, hi is found by doubling from 1, after a check that a
+    monomial target can be entered at all.  Each probe raises the members
+    one by one (a principal member by base-p splitting), so a non-principal
+    weighted product's generator list is never squared.
     """
+    def product(m: int) -> IdealGens:
+        return _product_of_powers(fam, [m * r_i for r_i in r])
+
     def contained(m: int) -> bool:
-        return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
+        return ideal_contains(target, product(m))
 
     if bracket is None:
         hi = 1
         while not contained(hi):
+            if hi == 1 and _outside_monomial_radical(product(1), target):
+                raise UnboundedError(
+                    f"{what}: a term of the weighted product lies outside the radical "
+                    "of the monomial target; radical condition violated"
+                )
             if hi > _SEARCH_CAP:
                 raise UnboundedError(
                     f"{what}: containment still fails at m={hi}; radical condition violated?"
@@ -307,7 +343,8 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int) -> int:
     search finds the boundary.  Raises ValueError unless some weight is
     positive (then no power ever leaves the unit ideal), ZeroRegionError
     when I is the unit ideal (even m = 0 is contained) and UnboundedError
-    when no containment shows up below _SEARCH_CAP.
+    when no containment shows up below _SEARCH_CAP, or at once when I is
+    monomial and the weighted product has a term outside its radical.
     """
     _check_weights(fam, r)
     target = bracket_power(I, FrobLevel(fam.ring.p, e))

@@ -195,9 +195,12 @@ def test_pair_budget_reaches_every_command(capsys, argv):
     # no power of (x) lies in (y): the containment search hits its cap
     ("threshold", "-p", "3", "-vars", "x,y", "-ideal", "x", "-r", "1", "-Igen", "y",
      "-e-max", "1"),
+    # a constant term keeps every power outside (x, y): refused before any doubling
+    ("threshold", "-p", "3", "-vars", "x,y", "-ideal", "x*y+y^2+2", "-r", "1", "-Igen", "x",
+     "-Igen", "y", "-e-max", "1"),
     # the p-adic level 3^1000000 does not fit a machine word; refused without dividing it out
     ("tau", "-p", "3", "-vars", "x,y", "-ideal", "x+y", "-c", "1/3^1000000"),
-], ids=["frob-level", "exponent", "unbounded", "denominator"])
+], ids=["frob-level", "exponent", "unbounded", "constant-term", "denominator"])
 def test_overflow_and_unbounded_exit_4(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 4

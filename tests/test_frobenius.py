@@ -119,6 +119,42 @@ def test_root_monotone(F3xy):
                               poly_bracket_root(h, lvl))
 
 
+def _root_reference(h, level):
+    """The root built one Polynomial per residue class, deduplicated by IdealGens."""
+    q = level.q
+    if q == 1:
+        return IdealGens(h.ring, (h,)).gens
+    buckets = {}
+    for exps, c in h.terms.items():
+        rep = tuple(e % q for e in exps)
+        buckets.setdefault(rep, {})[tuple(e // q for e in exps)] = c
+    return IdealGens(h.ring, [Polynomial(h.ring, buckets[rep]) for rep in sorted(buckets)]).gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_root_matches_the_per_class_reference(p):
+    """Same generators, same order, same dedup, and the same term order in each."""
+    rng = random.Random(p)
+    collapsed = 0
+    for n in (1, 2, 3):
+        ring = Ring(p, ["x", "y", "z"][:n])
+        for e in range(4):
+            lvl = FrobLevel(p, e)
+            for _ in range(40):
+                h = _random_poly(ring, rng, deg=2 * lvl.q + 1, nterms=8)
+                if rng.random() < 0.5:
+                    # every class of h is multiplied by k: (h k^q)^[1/q] = h^[1/q] k
+                    h = h * _random_poly(ring, rng, deg=2, nterms=2).scale_exponents(lvl.q)
+                want = _root_reference(h, lvl)
+                got = poly_bracket_root(h, lvl).gens
+                assert got == want, (h, e)
+                assert [list(g.terms.items()) for g in got] == \
+                    [list(g.terms.items()) for g in want]
+                classes = {tuple(x % lvl.q for x in exps) for exps in h.terms}
+                collapsed += len(classes) > len(got)
+    assert collapsed  # some roots met equal classes
+
+
 def test_ideal_root_is_union(F3xy):
     I = _ideal(F3xy, "x^3*y^2 + x^2*y^3", "y^6")
     got = ideal_bracket_root(I, FrobLevel(3, 1))

@@ -225,6 +225,30 @@ def test_raster_k2_palette(staircase):
     assert r.key_at((6, 6)) == "x;y"
 
 
+def test_principal_raster_takes_one_root_per_cell(staircase, monkeypatch):
+    """Each cell of an all-principal p-adic raster is one tau_mixed call and one bracket root."""
+    import pfractal.region as region
+    import pfractal.testideal as ti
+
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(region, "tau_mixed")
+    for name in ("poly_bracket_root", "skoda_reduce", "_skoda_split", "ideal_product"):
+        count(ti, name)
+    r = rasterize(staircase, Box((1, 1)), 2)
+    assert r.shape == (10, 10)
+    assert calls == {"tau_mixed": 100, "poly_bracket_root": 100}
+
+
 def test_raster_matches_pointwise_tau(staircase):
     r = rasterize(staircase, Box((1, 1)), 1)
     for i in range(4):

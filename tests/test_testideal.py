@@ -1,5 +1,6 @@
 """Mixed test ideals, Skoda peeling, F-thresholds and jumping data."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -210,6 +211,70 @@ def test_reduce_to_single(staircase):
         reduce_to_single(staircase, (-1, 1))
 
 
+def _peeled_principal_gens(fam, c):
+    """tau(a^c) as Skoda factor times the root of the residual product, at a p-adic point."""
+    factor, residual = skoda_reduce(fam, c)
+    m, s = _principal_padic(fam, residual)
+    g = fam.ring.one()
+    for a_i, m_i in zip(fam.ideals, m):
+        g = g * poly_pow(a_i.gens[0], m_i)
+    core = poly_bracket_root(g, FrobLevel(fam.ring.p, s))
+    return core.gens if factor.has_unit_generator() else ideal_product(factor, core).gens
+
+
+def _principal_family(ring, *texts):
+    return IdealFamily(ring, [_ideal(ring, t) for t in texts])
+
+
+@pytest.mark.parametrize("case", ["staircase", "cusp", "three"])
+def test_principal_padic_tau_needs_no_skoda(case, monkeypatch):
+    """One root of the whole product gives the peeled generators, element by element."""
+    import pfractal.testideal as ti
+
+    if case == "staircase":
+        ring = Ring(3, ["x", "y"])
+        fam, q, top = _principal_family(ring, "x+y", "x*y"), 9, (2, 2)
+    elif case == "cusp":
+        ring = Ring(5, ["x", "y"])
+        fam, q, top = _principal_family(ring, "x^2+y^3"), 25, (3,)
+    else:
+        ring = Ring(2, ["x", "y", "z"])
+        fam, q, top = _principal_family(ring, "x+y", "y+z*x", "x*z+1"), 4, (2, 1, 2)
+    points = [tuple(Fraction(i, q) for i in idx)
+              for idx in itertools.product(*(range(t * q + 1) for t in top))]
+    want = [_peeled_principal_gens(fam, c) for c in points]
+    splits = []
+    monkeypatch.setattr(ti, "_skoda_split", lambda *a: splits.append(a))
+    assert [tau_mixed(fam, c).gens for c in points] == want
+    assert not splits
+    assert sum(any(x >= 1 for x in c) for c in points) > len(points) // 2
+
+
+def test_principal_point_off_the_p_adic_grid_is_peeled(staircase, monkeypatch):
+    """(1/2, 1/2) is not 3-adic: it is split once and its residual goes through the window."""
+    import pfractal.testideal as ti
+
+    splits, windows = [], []
+    split, window = ti._skoda_split, ti._windowed_tau
+
+    def counted_split(fam, point):
+        splits.append(point)
+        return split(fam, point)
+
+    def counted_window(fam, point, cfg):
+        windows.append(point)
+        return window(fam, point, cfg)
+
+    monkeypatch.setattr(ti, "_skoda_split", counted_split)
+    monkeypatch.setattr(ti, "_windowed_tau", counted_window)
+    half = Fraction(1, 2)
+    for c, residual in (((half, half), (half, half)), ((1 + half, half), (half, half))):
+        splits.clear()
+        windows.clear()
+        tau_mixed(staircase, c)
+        assert splits == [c] and windows == [residual]
+
+
 # ------------------------------------------------------------------- v numbers
 
 def test_v_number_staircase(staircase, maximal):
@@ -229,6 +294,38 @@ def test_v_number_unbounded(F3xy):
     I = _ideal(F3xy, "y")
     with pytest.raises(UnboundedError):
         v_number(fam, (1,), I, 1)
+
+
+def test_no_power_enters_a_monomial_target_fails_fast(F3xy, maximal, monkeypatch):
+    """A constant term keeps every power of x*y+y^2+2 outside (x, y): no doubling."""
+    import pfractal.testideal as ti
+
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x*y+y^2+2")])
+    probes = []
+    product_of_powers = ti._product_of_powers
+
+    def counted(fam, exponents):
+        probes.append(tuple(exponents))
+        return product_of_powers(fam, exponents)
+
+    monkeypatch.setattr(ti, "_product_of_powers", counted)
+    with pytest.raises(UnboundedError, match="radical"):
+        v_number(fam, (1,), maximal, 1)
+    assert max(probes) == (1,)
+    # (x+y^2, y) is (x, y) presented with a binomial: the reduced basis decides
+    for I in (_ideal(F3xy, "x^2", "y"), _ideal(F3xy, "x+y^2", "y")):
+        probes.clear()
+        with pytest.raises(UnboundedError, match="radical"):
+            f_threshold(fam, (1,), I, 2)
+        assert max(probes) == (1,)
+    # inside the radical of a monomial target, and any non-monomial target, search as before
+    I = _ideal(F3xy, "x", "y^2+2")
+    v = v_number(fam, (1,), I, 1)
+    target, J = bracket_power(I, FrobLevel(3, 1)), fam.ideals[0]
+    assert not ideal_contains(target, ideal_power(J, v))
+    assert ideal_contains(target, ideal_power(J, v + 1))
+    # (x+y)^6 = x^6 + 2x^3y^3 + y^6 lies in (x^6, y^3); (x+y)^5 has the term x^3y^2
+    assert v_number(IdealFamily(F3xy, [_ideal(F3xy, "x+y")]), (1,), _ideal(F3xy, "x^2", "y"), 1) == 5
 
 
 def test_v_number_level_shift(staircase, maximal):
