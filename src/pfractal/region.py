@@ -211,8 +211,8 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
     index_of: dict[IdealGens, int] = {}
     cells = []
     q = fam.ring.p ** k
-    for idx in product(*map(range, shape)):
-        point = tuple(Fraction(i, q) for i in idx)
+    axes = [[Fraction(i, q) for i in range(n)] for n in shape]
+    for idx, point in zip(product(*map(range, shape)), product(*axes)):
         try:
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:

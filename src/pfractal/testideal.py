@@ -6,7 +6,9 @@ q = p^e grows.  Principal ideals with p-power-denominator exponents admit an
 exact shortcut: a single bracket root of the whole product, with no
 stabilization loop and no Skoda peeling.  At every other point Skoda's
 theorem peels off integer units of any coordinate that reaches the generator
-count of its ideal before the loop runs.
+count of its ideal before the loop runs.  The v-number searches behind
+F-thresholds decide a principal power g^m in I^[p^e] as (g^m)^[1/p^e] in I,
+one level-1 root per base-p digit of m.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[list[
     if s is None:
         return None
     scale = p ** s
-    return [int(c_i * scale) for c_i in point], s
+    return [c_i.numerator * (scale // c_i.denominator) for c_i in point], s
 
 
 def _degree_bound_check(fam: IdealFamily, point, result: IdealGens):
@@ -294,27 +296,73 @@ def _outside_monomial_radical(J: IdealGens, target: IdealGens) -> bool:
                for g in J.gens for exps in g.terms)
 
 
-def _least_power_inside(fam: IdealFamily, r: Sequence[int], target: IdealGens, what: str,
+def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
+    """(S * gens_1^d_1 ... gens_n^d_n)^[1/p] for an all-principal family.
+
+    One base-p digit vector d of an exponent, read least significant first;
+    _least_power_inside builds the chain of these steps and says why it is
+    exact.
+    """
+    prod = S
+    for a_i, d_i in zip(fam.ideals, d):
+        if d_i:
+            prod = ideal_product(prod, IdealGens(fam.ring, (poly_pow(a_i.gens[0], d_i),)))
+    return ideal_bracket_root(prod, FrobLevel(fam.ring.p, 1))
+
+
+def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, what: str,
                         bracket: tuple[int, int] | None = None) -> int:
-    """Least positive m with a_1^(m r_1) ... a_n^(m r_n) inside target; cap guarded.
+    """Least positive m with J^m inside I^[p^e], J = a_1^r_1 ... a_n^r_n; cap guarded.
 
     Containment is monotone in m.  A bracket (lo, hi), with power lo known
     outside and power hi known inside, is bisected without probing its ends;
     without one, hi is found by doubling from 1, after a check that a
-    monomial target can be entered at all.  Each probe raises the members
+    monomial target can be entered at all.
+
+    A principal J = (g) is tested against I itself, one base-p digit of m at
+    a time, and no bracket power of I is built.  With q = p^e:
+      - Adjunction: g^m lies in I^[q] exactly when (g^m)^[1/q] lies in I,
+        the root being the least ideal whose q-th bracket power holds g^m.
+      - Root composition: b^[1/pq'] = (b^[1/p])^[1/q'].
+      - Projection (Blickle-Mustata-Smith 2008, Lemma 2.4):
+        (b c^p)^[1/p] = b^[1/p] c.
+    Write m = d_0 + d_1 p + ... + d_(e-1) p^(e-1) + t q with digits d_j < p,
+    and let S_0 = R and S_(j+1) = (S_j g^(d_j))^[1/p] (_digit_step).  Then
+    (g^m)^[1/q] = (S_j g^floor(m/p^j))^[1/p^(e-j)] for every j <= e: split
+    g^floor(m/p^j) = g^(d_j) (g^floor(m/p^(j+1)))^p, take one root by
+    composition and project.  At j = e the test is S_e g^t inside I.  So
+    Buchberger runs on I alone, every root is a level-1 root (the generators
+    of S_j keep degree at most deg(g)), and q need not fit a machine word.
+
+    A non-principal J keeps raising its powers into I^[q].  Those powers
+    are not products of bracket powers: J^(pa+c) != (J^a)^[p] J^c in
+    general ((x, y)^2 holds xy, which (x, y)^[2] = (x^2, y^2) does not),
+    so the projection formula has nothing to peel.  Each probe raises the members
     one by one (a principal member by base-p splitting), so a non-principal
     weighted product's generator list is never squared.
     """
-    def product(m: int) -> IdealGens:
-        return _product_of_powers(fam, [m * r_i for r_i in r])
+    J = _product_of_powers(fam, r)
+    if len(J.gens) == 1:
+        single = IdealFamily(fam.ring, (J,))
+        p = fam.ring.p
+        target = I
 
-    def contained(m: int) -> bool:
-        return ideal_contains(target, product(m))
+        def contained(m: int) -> bool:
+            S = IdealGens.unit(fam.ring)
+            for _ in range(e):
+                m, d = divmod(m, p)
+                S = _digit_step(single, S, (d,))
+            return ideal_contains(I, ideal_product(S, ideal_power(J, m)))
+    else:
+        target = bracket_power(I, FrobLevel(fam.ring.p, e)) if e else I
+
+        def contained(m: int) -> bool:
+            return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
 
     if bracket is None:
         hi = 1
         while not contained(hi):
-            if hi == 1 and _outside_monomial_radical(product(1), target):
+            if hi == 1 and _outside_monomial_radical(J, target):
                 raise UnboundedError(
                     f"{what}: a term of the weighted product lies outside the radical "
                     "of the monomial target; radical condition violated"
@@ -340,17 +388,23 @@ def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
     Containment is monotone in m, so an exponential probe followed by binary
-    search finds the boundary.  Raises ValueError unless some weight is
-    positive (then no power ever leaves the unit ideal), ZeroRegionError
-    when I is the unit ideal (even m = 0 is contained) and UnboundedError
-    when no containment shows up below _SEARCH_CAP, or at once when I is
-    monomial and the weighted product has a term outside its radical.
+    search finds the boundary.  A principal weighted product is tested digit
+    by digit against I itself (see _least_power_inside), so p^e need not
+    fit a machine word; a non-principal one is tested against I^[p^e].
+    Raises ValueError unless some weight is positive (then no power ever
+    leaves the unit ideal) or unless e is a non-negative integer,
+    ZeroRegionError when I is the unit ideal (even m = 0 is contained) and
+    UnboundedError when no containment shows up below _SEARCH_CAP, or at
+    once when I is monomial and the weighted product has a term outside its
+    radical.
     """
     _check_weights(fam, r)
-    target = bracket_power(I, FrobLevel(fam.ring.p, e))
-    if ideal_contains(target, IdealGens.unit(fam.ring)):
+    if not isinstance(e, int) or e < 0:
+        raise ValueError(f"level must be a non-negative integer, got {e!r}")
+    # I^[p^e] lies in I and holds 1 when I does: it is the unit ideal exactly when I is
+    if ideal_contains(I, IdealGens.unit(fam.ring)):
         raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
-    return _least_power_inside(fam, r, target, "v-number search") - 1
+    return _least_power_inside(fam, r, I, e, "v-number search") - 1
 
 
 @dataclass(frozen=True)
@@ -372,6 +426,12 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) ->
         exponents n_i = p b_i + c_i with c_i <= p - 1, so sum b_i >= a and
         J^N lies in (J^a)^[p]; with a = v + 1 and J^(v+1) inside I^[q] this
         puts J^N inside I^[pq].
+    A principal J (s = 1) decides each probe g^m in I^[p^e] as
+    (g^m)^[1/p^e] in I, reading m's base-p digits least significant first
+    (adjunction, root composition and projection; see _least_power_inside):
+    Buchberger runs on I only and e_max has no machine-word cap.  A
+    non-principal J tests its powers against each I^[p^e], and p^e must fit
+    a machine word (OverflowError otherwise).
     The limit lies in [values[-1], l*s] where l is the least power with
     a^(l r) inside I.
     """
@@ -382,11 +442,10 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) ->
     s = len(reduce_to_single(fam, r).gens)
     values = [Fraction(v, p)]
     for e in range(2, e_max + 1):
-        target = bracket_power(I, FrobLevel(p, e))
         bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
-        v = _least_power_inside(fam, r, target, "v-number search", bracket) - 1
+        v = _least_power_inside(fam, r, I, e, "v-number search", bracket) - 1
         values.append(Fraction(v, p ** e))
-    l_min = _least_power_inside(fam, r, I, "threshold bound search")
+    l_min = _least_power_inside(fam, r, I, 0, "threshold bound search")
     return FThresholdResult(tuple(values), Fraction(l_min * s))
 
 

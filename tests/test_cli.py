@@ -85,6 +85,14 @@ def test_threshold_command(capsys):
     assert json.loads(out) == ["1/3", "5/9", "17/27"]
 
 
+def test_principal_threshold_has_no_level_cap(capsys):
+    """3^45 exceeds a machine word; a principal search never builds that level."""
+    code, out, err = run(capsys, "threshold", "-p", "3", "-vars", "x,y", "-ideal", "x+y",
+                         "-r", "1", "-Igen", "x", "-Igen", "y", "-e-max", "45")
+    assert (code, err) == (0, "")
+    values = json.loads(out)
+    assert len(values) == 45 and values[-1] == f"{3 ** 45 - 1}/{3 ** 45}"
+
 def test_threshold_all_zero_weights_exit_1(capsys):
     code, out, err = run(capsys, "threshold", *STAIRCASE, "-r", "0,0",
                          "-Igen", "x", "-Igen", "y", "-e-max", "3")

@@ -366,6 +366,117 @@ def test_f_threshold_monotone_values(staircase, maximal):
         assert a <= b
 
 
+# ------------------------------------------------ principal v numbers by digits
+
+def _ceil_minus_one(fpt, q):
+    return -(-fpt.numerator * q // fpt.denominator) - 1
+
+
+@pytest.mark.parametrize("p,fpt,e_max", [
+    (2, Fraction(1, 2), 30),
+    (3, Fraction(2, 3), 20),
+    (5, Fraction(4, 5), 12),
+    (7, Fraction(5, 6), 10),
+    (11, Fraction(9, 11), 8),
+])
+def test_cusp_v_numbers_at_deep_levels(p, fpt, e_max):
+    """x^2+y^3 against (x, y): v_e = ceil(fpt p^e) - 1 (Mustata-Takagi-Watanabe).
+
+    fpt(x^2+y^3) is 1/2, 2/3 and 4/5 for p = 2, 3, 5, 5/6 for p = 1 mod 6
+    and 5/6 - 1/(6p) for p = 5 mod 6 (p > 5).
+    """
+    fam, maximal = _cusp(p)
+    res = f_threshold(fam, (1,), maximal, e_max)
+    assert res.values == tuple(Fraction(_ceil_minus_one(fpt, p ** e), p ** e)
+                               for e in range(1, e_max + 1))
+    assert res.upper == 1
+
+
+@pytest.mark.parametrize("p,e_max", [(2, 70), (3, 45), (5, 30), (7, 25)])
+def test_linear_form_v_numbers_past_a_machine_word(p, e_max):
+    """x+y against (x, y): v_e = p^e - 1, at levels where p^e exceeds 2^63."""
+    ring = Ring(p, ["x", "y"])
+    fam = IdealFamily(ring, [_ideal(ring, "x+y")])
+    res = f_threshold(fam, (1,), _ideal(ring, "x", "y"), e_max)
+    assert res.values == tuple(Fraction(p ** e - 1, p ** e) for e in range(1, e_max + 1))
+    assert v_number(fam, (1,), _ideal(ring, "x", "y"), 0) == 0
+
+
+def test_staircase_v_numbers_at_deep_levels(staircase, maximal):
+    """x^2 y + x y^2 over F_3 against (x, y): v_e = 2 3^(e-1) - 1."""
+    res = f_threshold(staircase, (1, 1), maximal, 15)
+    assert res.values == tuple(Fraction(2 * 3 ** (e - 1) - 1, 3 ** e) for e in range(1, 16))
+    assert res.upper == 1
+
+
+def _digit_chain(g, m, p, e):
+    """S_e g^floor(m/p^e) with S_0 = R and S_(j+1) = (S_j g^(d_j))^[1/p]."""
+    import pfractal.testideal as ti
+
+    single = IdealFamily(g.ring, [IdealGens(g.ring, [g])])
+    S = IdealGens.unit(g.ring)
+    for _ in range(e):
+        m, d = divmod(m, p)
+        S = ti._digit_step(single, S, (d,))
+    return ideal_product(S, IdealGens(g.ring, [poly_pow(g, m)]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_chain_is_the_bracket_root(p):
+    """Adjunction, root composition and projection: the chain equals (g^m)^[1/p^e]."""
+    rng = random.Random(900 + p)
+    for n_vars in (1, 2, 3):
+        ring = Ring(p, ["x", "y", "z"][:n_vars])
+        for _ in range(8):
+            g = _random_poly(ring, rng, deg=2 if n_vars == 3 else 3)
+            e = rng.randint(0, 3)
+            m = rng.randint(0, 2 * p ** e + p)
+            assert ideal_equal(_digit_chain(g, m, p, e),
+                               poly_bracket_root(poly_pow(g, m), FrobLevel(p, e)))
+
+
+def _redundant(fam):
+    """Each principal (g) presented as (g, -g): two generators take the product route."""
+    return IdealFamily(fam.ring, [IdealGens(fam.ring, [a.gens[0], -a.gens[0]])
+                                  for a in fam.ideals])
+
+
+@pytest.mark.parametrize("texts,targets", [
+    (("x+y", "x*y"), (("x", "y"), ("x^2", "y"), ("x+y^2", "x*y"))),
+    (("x^2+y^3",), (("x", "y"), ("x^3", "x*y", "y^2"), ("x^2+y", "y^3"))),
+    (("x*y+y^2",), (("x", "y"), ("x^2", "y^2"), ("x+y", "y^3"))),
+], ids=["staircase", "cusp", "binomial"])
+def test_principal_route_matches_the_product_route(F3xy, texts, targets):
+    """v_number of a principal J equals that of J presented with a redundant generator."""
+    fam = IdealFamily(F3xy, [_ideal(F3xy, t) for t in texts])
+    r = (1,) * fam.n
+    for gens in targets:
+        I = _ideal(F3xy, *gens)
+        for e in (1, 2, 3):
+            assert v_number(fam, r, I, e) == v_number(_redundant(fam), r, I, e)
+
+
+def test_non_principal_searches_take_no_digit_step(F3xy, staircase, maximal, monkeypatch):
+    import pfractal.testideal as ti
+
+    steps = []
+    digit_step = ti._digit_step
+
+    def counted(*args):
+        steps.append(args[2])
+        return digit_step(*args)
+
+    monkeypatch.setattr(ti, "_digit_step", counted)
+    planes, xyz = _two_planes()
+    for fam, r, I in ((planes, (1, 1), xyz), (IdealFamily(F3xy, [maximal]), (1,), maximal),
+                      (_redundant(staircase), (1, 1), maximal)):
+        f_threshold(fam, r, I, 3)
+        v_number(fam, r, I, 2)
+    assert steps == []
+    f_threshold(staircase, (1, 1), maximal, 3)
+    assert steps and all(len(d) == 1 and 0 <= d[0] < 3 for d in steps)
+
+
 # ---------------------------------------------------------------- jumping scan
 
 def test_jumping_scan_principal_line(staircase):
