@@ -8,7 +8,7 @@ exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Exponents must stay inside a machine word.
 MAX_EXPONENT = (1 << 63) - 1
@@ -469,24 +469,59 @@ def ideal_product(I: IdealGens, J: IdealGens) -> IdealGens:
 
 
 def ideal_power(I: IdealGens, m: int) -> IdealGens:
-    """I^m; I^0 is the unit ideal.
+    """I^m; I^0 is the unit ideal and the zero ideal's positive powers are zero.
 
-    A principal ideal is raised through poly_pow's base-p splitting; other
-    ideals by binary exponentiation on generator lists.
+    A principal ideal is raised through poly_pow's base-p splitting.  For
+    I = (g_1, ..., g_n) with n >= 2, every product of m generators is some
+    g_1^k_1 ... g_n^k_n with |k| = m, so these C(m+n-1, n-1) products
+    generate I^m, and each is formed once:
+      - one power row [1, g_j, g_j^2, ...] per generator, by repeated
+        multiplication: at most n (m - 1) multiplies;
+      - the vectors k in lexicographic order with k_1 descending, the prefix
+        g_1^k_1 ... g_j^k_j formed once and shared by every vector that
+        extends it: at most n - 1 multiplies per generator.
+    Binary exponentiation over generator lists formed the same polynomials
+    with sum |A| |B| multiplies over its products A * B, most of them
+    duplicates: about 230k for the 1,711 generators of (x, y, z)^57, against
+    3,416 here.  Its deduplicated lists keep each product at its
+    lexicographically first vector, so both routes give the same generators
+    in the same order whenever distinct vectors give distinct polynomials.
     """
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"ideal power must be a non-negative integer, got {m!r}")
     if len(I.gens) == 1:
         return IdealGens(I.ring, (poly_pow(I.gens[0], m),))
-    result = IdealGens.unit(I.ring)
-    base = I
-    while m:
-        if m & 1:
-            result = ideal_product(result, base)
-        m >>= 1
-        if m:
-            base = ideal_product(base, base)
-    return result
+    ring, gens = I.ring, I.gens
+    if m == 0:
+        return IdealGens.unit(ring)
+    if not gens:
+        return IdealGens.zero(ring)
+    # rows[j] = [1, g_j, g_j^2, ...]: g_j^k is first needed once k_1 <= m - k,
+    # so the rows of g_2 .. g_n grow on demand while that of g_1, read from
+    # g_1^m down, is dropped entry by entry.
+    rows = [[ring.one(), g] for g in gens]
+    final = len(gens) - 1
+
+    def times(prefix: Polynomial | None, j: int, k: int) -> Polynomial | None:
+        # prefix * g_j^k, with None for the empty product
+        if not k:
+            return prefix
+        row = rows[j]
+        while len(row) <= k:
+            row.append(row[-1] * gens[j])
+        return row[k] if prefix is None else prefix * row[k]
+
+    def products(j: int, prefix: Polynomial | None, left: int) -> Iterator[Polynomial]:
+        # prefix * g_j^k_j ... g_n^k_n over k_j + ... + k_n = left, k_j descending
+        if j == final:
+            yield times(prefix, j, left)
+            return
+        for k in range(left, -1, -1):
+            yield from products(j + 1, times(prefix, j, k), left - k)
+            if not j:
+                del rows[0][k:]
+
+    return IdealGens(ring, products(0, None, m))
 
 
 def lucas_binomial(m: int, n: int, p: int) -> int:

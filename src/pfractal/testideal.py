@@ -301,13 +301,15 @@ def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
 
     One base-p digit vector d of an exponent, read least significant first;
     _least_power_inside builds the chain of these steps and says why it is
-    exact.
+    exact.  A root with a unit generator is the unit ideal and comes back as
+    (1), so later steps of the chain do not carry its other generators.
     """
     prod = S
     for a_i, d_i in zip(fam.ideals, d):
         if d_i:
             prod = ideal_product(prod, IdealGens(fam.ring, (poly_pow(a_i.gens[0], d_i),)))
-    return ideal_bracket_root(prod, FrobLevel(fam.ring.p, 1))
+    root = ideal_bracket_root(prod, FrobLevel(fam.ring.p, 1))
+    return IdealGens.unit(fam.ring) if root.has_unit_generator() else root
 
 
 def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, what: str,

@@ -189,6 +189,65 @@ def test_ideal_product_and_power(F3xy):
             assert ideal_power(IdealGens(ring, (g,)), m).gens == (_pow_small(g, m),)
 
 
+def _repeated_product_power(I, m):
+    """I^m as m successive products with I, the reference for ideal_power."""
+    result = IdealGens.unit(I.ring)
+    for _ in range(m):
+        result = ideal_product(result, I)
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ideal_power_matches_repeated_products(p):
+    """The same generators, in the same order, as m successive products with I."""
+    rng = random.Random(1100 + p)
+    for _ in range(12):
+        ring = Ring(p, ["x", "y", "z"][:rng.randint(1, 3)])
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            terms = {tuple(rng.randint(0, 3) for _ in range(ring.arity)): rng.randint(1, p - 1)
+                     for _ in range(rng.randint(1, 3))}
+            gens.append(Polynomial(ring, terms))
+        I = IdealGens(ring, gens)
+        for m in range(9):
+            assert ideal_power(I, m).gens == _repeated_product_power(I, m).gens
+
+
+def test_ideal_power_edge_cases(F3xy):
+    x, y = F3xy.variable("x"), F3xy.variable("y")
+    zero = IdealGens.zero(F3xy)
+    assert ideal_power(zero, 0) == IdealGens.unit(F3xy)
+    assert all(ideal_power(zero, m).is_zero for m in (1, 2, 5))
+    I = F3xy.ideal(x + y, x * y)
+    assert ideal_power(I, 0) == IdealGens.unit(F3xy)
+    assert ideal_power(I, 1) == I
+    # the principal tuple is poly_pow's single generator
+    g = F3xy.polynomial("x^2 + y")
+    assert ideal_power(F3xy.ideal(g), 7).gens == (poly_pow(g, 7),)
+    with pytest.raises(ValueError):
+        ideal_power(I, -1)
+
+
+def test_ideal_power_forms_each_generator_once(monkeypatch):
+    """(x, y, z)^57 has C(59, 2) = 1,711 generators, formed in at most n (m + C) multiplies."""
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    ring = Ring(3, ["x", "y", "z"])
+    I = ring.ideal("x", "y", "z")
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    power = ideal_power(I, 57)
+    monkeypatch.undo()
+    assert len(power.gens) == 1711
+    assert len(calls) <= 3 * (57 + 1711)
+    assert set(power.gens) == {ring.monomial((a, b, 57 - a - b))
+                               for a in range(58) for b in range(58 - a)}
+
+
 def _pascal_row(n, p):
     row = [1]
     for _ in range(n):

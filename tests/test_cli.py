@@ -93,6 +93,16 @@ def test_principal_threshold_has_no_level_cap(capsys):
     values = json.loads(out)
     assert len(values) == 45 and values[-1] == f"{3 ** 45 - 1}/{3 ** 45}"
 
+
+def test_non_principal_threshold_reaches_level_7(capsys):
+    """(x, y) against itself over F_3: v_e = 2(3^e - 1), the last value 4372/2187."""
+    code, out, err = run(capsys, "threshold", "-p", "3", "-vars", "x,y", "-ideal", "x;y",
+                         "-r", "1", "-Igen", "x", "-Igen", "y", "-e-max", "7")
+    assert (code, err) == (0, "")
+    values = json.loads(out)
+    assert len(values) == 7 and values[-1] == "4372/2187"
+
+
 def test_threshold_all_zero_weights_exit_1(capsys):
     code, out, err = run(capsys, "threshold", *STAIRCASE, "-r", "0,0",
                          "-Igen", "x", "-Igen", "y", "-e-max", "3")

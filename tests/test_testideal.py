@@ -20,6 +20,7 @@ from pfractal import (
     bracket_power,
     f_threshold,
     FrobLevel,
+    ideal_bracket_root,
     ideal_contains,
     ideal_equal,
     ideal_key,
@@ -199,6 +200,39 @@ def test_skoda_two_generator_member(F3xy):
             assert ideal_equal(tau_mixed(fam, (c,), cfg), expect), (c, cfg)
 
 
+def test_windowed_tau_keys_do_not_depend_on_the_power_route(monkeypatch):
+    """ideal_power and a chain of repeated products give the window the same keys.
+
+    This checks that the route to I^m changes no tau value, not that the
+    values are true: at 17/9 the window accepts (x, y) for (x, y)^(17/9),
+    whose test ideal is R (Howald).
+    """
+    import pfractal.testideal as ti
+
+    F3xyz = Ring(3, ["x", "y", "z"])
+    F3xy = Ring(3, ["x", "y"])
+    members = [_ideal(F3xy, "x", "y"), _ideal(F3xy, "x^2", "y^3"),
+               _ideal(F3xyz, "x", "y", "z"), _ideal(F3xy, "x^2", "x*y+y^2")]
+    families = [IdealFamily(I.ring, [I]) for I in members]
+
+    def grid(top):
+        return sorted({Fraction(n, d) for d in (9, 4) for n in range(d * top + 1)})
+
+    cases = [(fam, (c,)) for fam in families for c in grid(fam.gen_counts[0])]
+    keys = [ideal_key(tau_mixed(fam, c)) for fam, c in cases]
+    chains = {}
+
+    def repeated_products(I, m):
+        chain = chains.setdefault(I, [IdealGens.unit(I.ring)])
+        while len(chain) <= m:
+            chain.append(ideal_product(chain[-1], I))
+        return chain[m]
+
+    monkeypatch.setattr(ti, "ideal_power", repeated_products)
+    assert [ideal_key(tau_mixed(fam, c)) for fam, c in cases] == keys
+    assert keys[cases.index((families[0], (Fraction(17, 9),)))] == "x;y"
+
+
 def test_reduce_to_single(staircase):
     J = reduce_to_single(staircase, (2, 3))
     f1 = staircase.ring.polynomial("x+y")
@@ -350,6 +384,20 @@ def test_threshold_search_on_a_non_principal_product(p):
     assert res.values == tuple(Fraction(2 * p ** e - 2, p ** e) for e in (1, 2, 3))
 
 
+@pytest.mark.parametrize("p,names,e_max", [(3, "xy", 7), (5, "xy", 4), (2, "xyz", 5)])
+def test_maximal_ideal_v_numbers_against_itself(p, names, e_max):
+    """m = (x_1, ..., x_n): m^k lies in m^[q] exactly when k > n(q - 1), so v_e = n(p^e - 1).
+
+    Each probe raises m to a power near n p^e, one generator per monomial.
+    """
+    ring = Ring(p, list(names))
+    maximal = _ideal(ring, *names)
+    res = f_threshold(IdealFamily(ring, [maximal]), (1,), maximal, e_max)
+    n = len(names)
+    assert res.values == tuple(Fraction(n * (p ** e - 1), p ** e) for e in range(1, e_max + 1))
+    assert res.upper == n
+
+
 def test_f_threshold_staircase(staircase, maximal):
     res = f_threshold(staircase, (1, 1), maximal, 3)
     assert isinstance(res, FThresholdResult)
@@ -454,6 +502,52 @@ def test_principal_route_matches_the_product_route(F3xy, texts, targets):
         I = _ideal(F3xy, *gens)
         for e in (1, 2, 3):
             assert v_number(fam, r, I, e) == v_number(_redundant(fam), r, I, e)
+
+
+def test_digit_chain_drops_a_unit_holding_root(monkeypatch):
+    """A root with a unit generator comes back as (1); the chain keeps its meaning.
+
+    Over F_7 this g sends most digit steps of its v-number searches against
+    (x, y, z) to the unit ideal.  Each v_e is checked at both ends: the digit
+    chain at m = v_e and v_e + 1 equals the root of the whole product
+    (g^m)^[1/7^e] (g^244 has 2.9 million terms, so e = 3 is checked at its
+    upper end only), and a chain of plain roots decides both ends alike.
+    """
+    import pfractal.testideal as ti
+
+    ring, p = Ring(7, ["x", "y", "z"]), 7
+    g = parse_polynomial("2*x^3*y^2*z^2+3*x^3*z^2+2*x*y^2*z+2*x^2*z^2+3*x^3", ring)
+    fam, I = IdealFamily(ring, [IdealGens(ring, [g])]), _ideal(ring, "x", "y", "z")
+    outputs = []
+    digit_step = ti._digit_step
+
+    def recorded(*args):
+        outputs.append(digit_step(*args))
+        return outputs[-1]
+
+    monkeypatch.setattr(ti, "_digit_step", recorded)
+    v = [v_number(fam, (1,), I, e) for e in (1, 2, 3)]
+    monkeypatch.undo()
+    assert v == [4, 34, 244]
+    units = [S for S in outputs if S.has_unit_generator()]
+    assert units and all(S.gens == (ring.one(),) for S in units)
+
+    def plain_chain(m, e):
+        S = IdealGens.unit(ring)
+        for _ in range(e):
+            m, d = divmod(m, p)
+            S = ideal_bracket_root(ideal_product(S, IdealGens(ring, [poly_pow(g, d)])),
+                                   FrobLevel(p, 1))
+        return ideal_product(S, IdealGens(ring, [poly_pow(g, m)]))
+
+    for e, v_e in zip((1, 2, 3), v):
+        for m, inside in ((v_e, False), (v_e + 1, True)):
+            chain = _digit_chain(g, m, p, e)
+            assert ideal_contains(I, chain) is inside
+            assert ideal_contains(I, plain_chain(m, e)) is inside
+            if m != 244:
+                assert ideal_equal(chain, poly_bracket_root(poly_pow(g, m), FrobLevel(p, e)))
+    assert v_number(_redundant(fam), (1,), I, 1) == v[0]
 
 
 def test_non_principal_searches_take_no_digit_step(F3xy, staircase, maximal, monkeypatch):
