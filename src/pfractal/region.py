@@ -30,7 +30,6 @@ from .testideal import (
     IdealFamily,
     NotStabilizedError,
     TauConfig,
-    _principal_padic,
     _principal_product,
     _product_of_powers,
     tau_mixed,
@@ -129,14 +128,14 @@ class GridFunction:
 
 
 class _ChiOracle:
-    """Call-scoped evaluator for chi with memoized bracket powers.
+    """Call-scoped evaluator of chi on integer grid points, with memoized bracket powers.
 
     For an all-principal family at a point m / p^s with integer m,
     tau(a^c) equals the bracket root of g = prod gens_i^m_i at level s, and
     containment in I is equivalent to membership of g in the s-th bracket
-    power of I.  That turns one chi sample into a single normal form against
-    the bracket power's cached basis.  Other inputs fall back to a full tau
-    and a containment test.
+    power of I.  That turns one grid sample into a single normal form
+    against the bracket power's cached basis.  Other families go through
+    chi itself.
     """
 
     def __init__(self, fam: IdealFamily, cfg: TauConfig = DEFAULT_TAU_CONFIG):
@@ -153,8 +152,7 @@ class _ChiOracle:
         p = fam.ring.p
         if not fam.all_principal:
             q = p ** s
-            tau = tau_mixed(fam, tuple(Fraction(m_i, q) for m_i in m), self.cfg)
-            return 0 if ideal_contains(I, tau) else 1
+            return chi(fam, I, tuple(Fraction(m_i, q) for m_i in m), self.cfg)
         # the same point at its least level keeps g and the bracket power small
         while s and not any(m_i % p for m_i in m):
             m = [m_i // p for m_i in m]
@@ -166,20 +164,10 @@ class _ChiOracle:
             self._brackets[(I, s)] = bracket
         return 0 if reduces_to_zero(g, bracket) else 1
 
-    def chi(self, I: IdealGens, c) -> int:
-        # the shortcut needs only the coerced coordinates; fam.point then
-        # validates the shortcut's point, and tau_mixed any other
-        point = tuple(map(as_fraction, c))
-        principal = _principal_padic(self.fam, point)
-        if principal is None:
-            return 0 if ideal_contains(I, tau_mixed(self.fam, c, self.cfg)) else 1
-        self.fam.point(point)
-        return self.chi_at(I, *principal)
-
 
 def chi(fam: IdealFamily, I: IdealGens, c, cfg: TauConfig = DEFAULT_TAU_CONFIG) -> int:
     """Indicator of tau(a^c) not contained in I (1 outside, 0 inside)."""
-    return _ChiOracle(fam, cfg).chi(I, c)
+    return 0 if ideal_contains(I, tau_mixed(fam, c, cfg)) else 1
 
 
 @dataclass(frozen=True)
@@ -252,19 +240,27 @@ def fractal_operator(phi: GridFunction, q: int, b: Sequence[int]) -> GridFunctio
         raise ValueError(f"shift must have integer coordinates in [0, {q})")
     if phi.k < e:
         raise ResolutionMismatchError(f"need sample level >= {e}, have {phi.k}")
-    k_out = phi.k - e
-    out_shape = phi.box.shape(p, k_out)
+    return _rescaled(phi, q, b, phi.k - e)
+
+
+def _rescaled(phi: GridFunction, q: int, b: Sequence[int], k_out: int) -> GridFunction:
+    """phi((t + b) / q) sampled at level k_out, extended by zero off phi's box.
+
+    With q = p^e and e + k_out <= phi.k, the level-k_out index i reads the
+    source index i p^(k - e - k_out) + b p^(k - e), a grid point of phi.
+    """
+    step = phi.p ** phi.k // q
+    stride = step // phi.p ** k_out
     src_shape = phi.shape
-    step = p ** k_out
     zero = phi.values[0] * 0 if phi.values else 0
     values = []
-    for idx in product(*map(range, out_shape)):
-        src = tuple(i + b_i * step for i, b_i in zip(idx, b))
+    for idx in product(*map(range, phi.box.shape(phi.p, k_out))):
+        src = tuple(i * stride + b_i * step for i, b_i in zip(idx, b))
         if all(s < n for s, n in zip(src, src_shape)):
             values.append(phi.values[_flat_index(src, src_shape)])
         else:
             values.append(zero)
-    return GridFunction(p, phi.box, k_out, tuple(values))
+    return GridFunction(phi.p, phi.box, k_out, tuple(values))
 
 
 def sample_chi(fam: IdealFamily, I: IdealGens, box: Box, k: int,
@@ -316,10 +312,12 @@ def fractal_span_census(fam: IdealFamily, I: IdealGens, box: Box, e_max: int, *,
                         cfg: TauConfig = DEFAULT_TAU_CONFIG) -> list[str]:
     """Fingerprints of all distinct rescalings of chi up to level e_max.
 
-    Every operator with q = p^0 .. p^e_max and shift b in [0, q)^n is applied
-    to one high-resolution sample of chi, then compared on the common
-    reference grid.  A finite, eventually constant census witnesses the
-    finite-dimensional span of the rescalings.
+    chi is sampled once at level ref_level + e_max.  Every operator with
+    q = p^0 .. p^e_max and shift b in [0, q)^n is read straight off that
+    sample on the common reference grid at level ref_level, since each
+    rescaled reference point (t + b) / q is a grid point of the sample.  A
+    finite, eventually constant census witnesses the finite-dimensional
+    span of the rescalings.
     """
     if e_max < 0 or ref_level < 0:
         raise ValueError("levels must be non-negative")
@@ -330,29 +328,13 @@ def fractal_span_census(fam: IdealFamily, I: IdealGens, box: Box, e_max: int, *,
     for e in range(e_max + 1):
         q = p ** e
         for b in product(range(q), repeat=fam.n):
-            moved = fractal_operator(base, q, b)
-            reduced = _downsample(moved, ref_level)
+            reduced = _rescaled(base, q, b, ref_level)
             vals = reduced.values
             if vals not in seen:
                 fp = reduced.fingerprint()
                 seen[vals] = fp
                 out.append(fp)
     return out
-
-
-def _downsample(phi: GridFunction, k_out: int) -> GridFunction:
-    if k_out > phi.k:
-        raise ResolutionMismatchError(f"cannot refine level {phi.k} to {k_out}")
-    factor = phi.p ** (phi.k - k_out)
-    if factor == 1:
-        return phi
-    out_shape = phi.box.shape(phi.p, k_out)
-    src_shape = phi.shape
-    values = tuple(
-        phi.values[_flat_index(tuple(i * factor for i in idx), src_shape)]
-        for idx in product(*map(range, out_shape))
-    )
-    return GridFunction(phi.p, phi.box, k_out, values)
 
 
 def _is_digit(ch: str, p: int) -> bool:

@@ -319,7 +319,8 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int
     Containment is monotone in m.  A bracket (lo, hi), with power lo known
     outside and power hi known inside, is bisected without probing its ends;
     without one, hi is found by doubling from 1, after a check that a
-    monomial target can be entered at all.
+    monomial target can be entered at all.  The check reads I itself:
+    rad(I^[q]) = rad(I), and I^[q] is monomial exactly when I is.
 
     A principal J = (g) is tested against I itself, one base-p digit of m at
     a time, and no bracket power of I is built.  With q = p^e:
@@ -347,7 +348,6 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int
     if len(J.gens) == 1:
         single = IdealFamily(fam.ring, (J,))
         p = fam.ring.p
-        target = I
 
         def contained(m: int) -> bool:
             S = IdealGens.unit(fam.ring)
@@ -364,7 +364,7 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int
     if bracket is None:
         hi = 1
         while not contained(hi):
-            if hi == 1 and _outside_monomial_radical(J, target):
+            if hi == 1 and _outside_monomial_radical(J, I):
                 raise UnboundedError(
                     f"{what}: a term of the weighted product lies outside the radical "
                     "of the monomial target; radical condition violated"
@@ -418,10 +418,11 @@ class FThresholdResult:
 def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) -> FThresholdResult:
     """The non-decreasing sequence v_e / p^e for e = 1..e_max, with limit bracket.
 
-    v_1 comes from v_number.  Each later level is bisected inside a bracket
-    from the one before: with J the weighted product, s = len(J.gens) and
+    One doubling search finds v_0 = l - 1, where l is the least power of the
+    weighted product J inside I.  Every level e = 1..e_max is then bisected
+    inside a bracket from the level below: with s = len(J.gens) and
     q = p^(e-1), the least power of J inside I^[pq] lies in
-    (p v_(e-1), p (v_(e-1) + 1) + (s - 1)(p - 1)].
+    (p v_(e-1), p (v_(e-1) + 1) + (s - 1)(p - 1)], also at q = 1.
       - Lower end: Frobenius is flat, so J^v not inside I^[q] gives
         (J^v)^[p] not inside I^[pq], and (J^v)^[p] lies in J^(pv).
       - Upper end: a product of N = p a + (s - 1)(p - 1) generators of J has
@@ -434,21 +435,20 @@ def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) ->
     Buchberger runs on I only and e_max has no machine-word cap.  A
     non-principal J tests its powers against each I^[p^e], and p^e must fit
     a machine word (OverflowError otherwise).
-    The limit lies in [values[-1], l*s] where l is the least power with
-    a^(l r) inside I.
+    The limit lies in [values[-1], l*s] = [values[-1], (v_0 + 1) s].
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     p = fam.ring.p
-    v = v_number(fam, r, I, 1)
+    v = v_number(fam, r, I, 0)
     s = len(reduce_to_single(fam, r).gens)
-    values = [Fraction(v, p)]
-    for e in range(2, e_max + 1):
+    upper = Fraction((v + 1) * s)
+    values = []
+    for e in range(1, e_max + 1):
         bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
         v = _least_power_inside(fam, r, I, e, "v-number search", bracket) - 1
         values.append(Fraction(v, p ** e))
-    l_min = _least_power_inside(fam, r, I, 0, "threshold bound search")
-    return FThresholdResult(tuple(values), Fraction(l_min * s))
+    return FThresholdResult(tuple(values), upper)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,31 @@ def test_threshold_all_zero_weights_exit_1(capsys):
     assert err == "usage error: at least one weight must be positive\n"
 
 
+XY = ("-Igen", "x", "-Igen", "y")
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (("-p", "3", "-vars", "x,y", "-ideal", "x*y+y^2+2", "-r", "1", *XY, "-e-max", "1"), 4, "",
+     "resource limit: v-number search: a term of the weighted product lies outside the "
+     "radical of the monomial target; radical condition violated\n"),
+    (("-p", "3", "-vars", "x,y", "-ideal", "x;y", "-r", "1", *XY, "-e-max", "5"), 0,
+     '["4/3","16/9","52/27","160/81","484/243"]\n', ""),
+    (("-p", "3", "-vars", "x,y", "-ideal", "x+y", "-ideal", "x*y", "-r", "1,1", *XY,
+      "-e-max", "8"), 0,
+     '["1/3","5/9","17/27","53/81","161/243","485/729","1457/2187","4373/6561"]\n', ""),
+    (("-p", "3", "-vars", "x,y", "-ideal", "x+y", "-ideal", "x*y", "-r", "1,1",
+      "-Igen", "1", "-e-max", "3"), 1, "",
+     "usage error: target ideal is the unit ideal; every power is contained\n"),
+    (("-p", "5", "-vars", "x,y", "-ideal", "x^2+y^3", "-r", "1", "-Igen", "x^2",
+      "-Igen", "y^3", "-e-max", "4"), 0, '["4/5","24/25","124/125","624/625"]\n', ""),
+    (("-p", "3", "-vars", "x,y", "-ideal", "x^2;y^3", "-r", "1", *XY, "-e-max", "4"), 0,
+     '["1/3","2/3","7/9","22/27"]\n', ""),
+], ids=["constant-term", "maximal", "staircase", "unit-target", "cusp-p5", "monomial"])
+def test_threshold_golden_outputs(capsys, argv, code, out, err):
+    """Exact stdout, stderr and exit code of threshold on each search route."""
+    assert run(capsys, "threshold", *argv) == (code, out, err)
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

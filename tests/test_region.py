@@ -1,5 +1,6 @@
 """Characteristic function sampling, rasters, fractal operators, staircase."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -80,7 +81,7 @@ PRINCIPAL_CASES = [
 
 
 def test_chi_oracle_agrees_with_generic_path():
-    """The principal p-adic shortcut and the full tau route must agree.
+    """The integer grid route of the oracle, public chi and tau containment agree.
 
     Numerators are drawn as zero, as multiples of p (so the integer route
     lowers the level first) and at random.
@@ -98,7 +99,7 @@ def test_chi_oracle_agrees_with_generic_path():
             m = [rng.choice((0, p * rng.randint(0, q), rng.randint(0, 2 * q))) for _ in members]
             c = tuple(Fraction(m_i, q) for m_i in m)
             slow = 0 if ideal_contains(I, tau_mixed(fam, c)) else 1
-            assert oracle.chi(I, c) == slow, (p, c)
+            assert chi(fam, I, c) == slow, (p, c)
             assert oracle.chi_at(I, m, e) == slow, (p, m, e)
 
 
@@ -160,7 +161,7 @@ def test_chi_validates_each_sample_once(F3xy, maximal, monkeypatch):
 
 
 def test_principal_chi_validates_once_on_both_branches(staircase, maximal, monkeypatch):
-    """(1/2, 1/2) is not 3-adic and falls back to tau_mixed; (1/3, 1/3) takes the shortcut."""
+    """(1/2, 1/2) is not 3-adic and is windowed; (1/3, 1/3) takes tau_mixed's shortcut."""
     calls = []
     point = IdealFamily.point
 
@@ -343,6 +344,77 @@ def test_fractal_operator_on_chi_matches_direct_sampling(staircase, maximal):
         for j in range(10):
             pt = (Fraction(i, 27), Fraction(j + 18, 27))
             assert moved.value_at((i, j)) == chi(staircase, maximal, pt)
+
+
+def _pointwise_operator(phi, q, b):
+    """phi((t + b) / q) at each level k - e grid point t, from rational points; 0 off the box."""
+    p, k = phi.p, phi.k
+    k_out = k
+    while p ** (k - k_out) < q:
+        k_out -= 1
+    out = []
+    for idx in product(*map(range, phi.box.shape(p, k_out))):
+        src = [(Fraction(i, p ** k_out) + b_i) / q for i, b_i in zip(idx, b)]
+        if all(c <= side for c, side in zip(src, phi.box.sides)):
+            out.append(phi.value_at([int(c * p ** k) for c in src]))
+        else:
+            out.append(0)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fractal_operator_matches_pointwise_reference(p):
+    """Random grids, q in {1, p, p^2} and random shifts; points past a side read zero.
+
+    The samples are nonzero, so a zero in the result is a point off the box.
+    """
+    rng = random.Random(240 + p)
+    # only a side below 1 can be run off; at q = p^2 a side of 1/p needs k >= 3
+    k = 3
+    sides = (Fraction(1, p), 1, 2) if p < 5 else (Fraction(1, p), 1)
+    off_box = 0
+    for _ in range(6):
+        n = rng.randint(1, 2)
+        box = Box([rng.choice(sides) for _ in range(n)])
+        size = math.prod(box.shape(p, k))
+        phi = GridFunction(p, box, k, tuple(rng.randint(1, 9) for _ in range(size)))
+        for q in (1, p, p * p):
+            shifts = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]
+            for b in set(shifts + [(q - 1,) * n]):
+                moved = fractal_operator(phi, q, b)
+                assert list(moved.values) == _pointwise_operator(phi, q, b), (box, k, q, b)
+                off_box += moved.values.count(0)
+    assert off_box
+
+
+def _downsampled(phi, k_out):
+    """phi restricted to the level-k_out grid of its box."""
+    factor = phi.p ** (phi.k - k_out)
+    values = tuple(phi.value_at([i * factor for i in idx])
+                   for idx in product(*map(range, phi.box.shape(phi.p, k_out))))
+    return GridFunction(phi.p, phi.box, k_out, values)
+
+
+def _census_reference(fam, I, box, e_max, ref_level):
+    """The census as operator-then-downsample: each rescaling built at its full level first."""
+    base = sample_chi(fam, I, box, ref_level + e_max)
+    out = []
+    for e in range(e_max + 1):
+        q = fam.ring.p ** e
+        for b in product(range(q), repeat=fam.n):
+            fp = _downsampled(fractal_operator(base, q, b), ref_level).fingerprint()
+            if fp not in out:
+                out.append(fp)
+    return out
+
+
+def test_census_matches_operator_then_downsample(F3xy, staircase, maximal):
+    box = Box((1, 1))
+    assert fractal_span_census(staircase, maximal, box, 2) == _census_reference(
+        staircase, maximal, box, 2, 2)
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x", "y^2"), _ideal(F3xy, "x*y")])
+    assert fractal_span_census(fam, maximal, box, 1, ref_level=1) == _census_reference(
+        fam, maximal, box, 1, 1)
 
 
 def test_verify_fractal_identity_examples(staircase, maximal):

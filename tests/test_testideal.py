@@ -725,6 +725,63 @@ def test_v_number_bracket_from_the_level_before(p):
         checked += 1
 
 
+def _two_search_f_threshold(fam, r, I, e_max):
+    """f_threshold as two searches: v_1 by doubling, and l by a second doubling at level 0."""
+    import pfractal.testideal as ti
+
+    p = fam.ring.p
+    v = v_number(fam, r, I, 1)
+    s = len(reduce_to_single(fam, r).gens)
+    values = [Fraction(v, p)]
+    for e in range(2, e_max + 1):
+        bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
+        v = ti._least_power_inside(fam, r, I, e, "v-number search", bracket) - 1
+        values.append(Fraction(v, p ** e))
+    l_min = ti._least_power_inside(fam, r, I, 0, "bound search")
+    return FThresholdResult(tuple(values), Fraction(l_min * s))
+
+
+def _linear_form():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x+y")]), _ideal(ring, "x", "y")
+
+
+def _maximal_against_itself():
+    ring = Ring(3, ["x", "y"])
+    maximal = _ideal(ring, "x", "y")
+    return IdealFamily(ring, [maximal]), maximal
+
+
+def _non_monomial_target():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x*y+y^2+2")]), _ideal(ring, "x", "y^2+2")
+
+
+@pytest.mark.parametrize("make,r,e_max", [
+    (_staircase_and_maximal, (1, 1), 8),
+    (lambda: _cusp(2), (1,), 6),
+    (lambda: _cusp(3), (1,), 6),
+    (lambda: _cusp(5), (1,), 4),
+    (_linear_form, (1,), 6),
+    (_maximal_against_itself, (1,), 5),
+    (_monomial, (1,), 4),
+    (_non_monomial_target, (1,), 3),
+], ids=["staircase", "cusp-p2", "cusp-p3", "cusp-p5", "linear-form", "maximal", "monomial",
+        "non-monomial-target"])
+def test_one_search_f_threshold_matches_two_searches(make, r, e_max):
+    """v_0 = l - 1 from one doubling at level 0 gives the values and upper l s of two searches."""
+    fam, I = make()
+    assert f_threshold(fam, r, I, e_max) == _two_search_f_threshold(fam, r, I, e_max)
+
+
+def test_one_search_f_threshold_errors(F3xy, staircase, maximal):
+    with pytest.raises(ZeroRegionError):
+        f_threshold(staircase, (1, 1), IdealGens.unit(F3xy), 3)
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x*y+y^2+2")])
+    with pytest.raises(UnboundedError, match=r"^v-number search: .* radical"):
+        f_threshold(fam, (1,), maximal, 1)
+
+
 def test_all_zero_weights_rejected_before_any_search(staircase, maximal):
     for search in (lambda: v_number(staircase, (0, 0), maximal, 1),
                    lambda: f_threshold(staircase, (0, 0), maximal, 3)):
