@@ -6,9 +6,10 @@ q = p^e grows.  Principal ideals with p-power-denominator exponents admit an
 exact shortcut: a single bracket root of the whole product, with no
 stabilization loop and no Skoda peeling.  At every other point Skoda's
 theorem peels off integer units of any coordinate that reaches the generator
-count of its ideal before the loop runs.  The v-number searches behind
-F-thresholds decide a principal power g^m in I^[p^e] as (g^m)^[1/p^e] in I,
-one level-1 root per base-p digit of m.
+count of its ideal before the loop runs.  One search chain, level by
+level, finds the v-numbers behind F-thresholds; it decides a principal
+power g^m in I^[p^e] as (g^m)^[1/p^e] in I, one level-1 root per base-p
+digit of m.
 """
 
 from __future__ import annotations
@@ -300,9 +301,9 @@ def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
     """(S * gens_1^d_1 ... gens_n^d_n)^[1/p] for an all-principal family.
 
     One base-p digit vector d of an exponent, read least significant first;
-    _least_power_inside builds the chain of these steps and says why it is
-    exact.  A root with a unit generator is the unit ideal and comes back as
-    (1), so later steps of the chain do not carry its other generators.
+    _v_numbers builds the chain of these steps and says why it is exact.  A
+    root with a unit generator is the unit ideal and comes back as (1), so
+    later steps of the chain do not carry its other generators.
     """
     prod = S
     for a_i, d_i in zip(fam.ideals, d):
@@ -312,15 +313,23 @@ def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
     return IdealGens.unit(fam.ring) if root.has_unit_generator() else root
 
 
-def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int, what: str,
-                        bracket: tuple[int, int] | None = None) -> int:
-    """Least positive m with J^m inside I^[p^e], J = a_1^r_1 ... a_n^r_n; cap guarded.
+def _v_numbers(fam: IdealFamily, r: Sequence[int], I: IdealGens,
+               e_max: int) -> tuple[list[int], int]:
+    """v_0, ..., v_e_max and s = len(J.gens), J = a_1^r_1 ... a_n^r_n.
 
-    Containment is monotone in m.  A bracket (lo, hi), with power lo known
-    outside and power hi known inside, is bisected without probing its ends;
-    without one, hi is found by doubling from 1, after a check that a
-    monomial target can be entered at all.  The check reads I itself:
-    rad(I^[q]) = rad(I), and I^[q] is monomial exactly when I is.
+    v_e is the largest m with J^m not inside I^[p^e].  Containment is
+    monotone in m, and one chain finds every v_e.  Level 0 doubles from 1 to
+    the least power l of J inside I, after a check that a monomial I can be
+    entered at all, and bisects below it: v_0 = l - 1.  Each level e >= 1 is
+    bisected, without probing its ends, inside a bracket from the level
+    below: with q = p^(e-1) and v = v_(e-1), the least power of J inside
+    I^[pq] lies in (p v, p (v + 1) + (s - 1)(p - 1)], also at q = 1.
+      - Lower end: Frobenius is flat, so J^v not inside I^[q] gives
+        (J^v)^[p] not inside I^[pq], and (J^v)^[p] lies in J^(pv).
+      - Upper end: a product of N = p a + (s - 1)(p - 1) generators of J has
+        exponents n_i = p b_i + c_i with c_i <= p - 1, so sum b_i >= a and
+        J^N lies in (J^a)^[p]; with a = v + 1 and J^(v+1) inside I^[q] this
+        puts J^N inside I^[pq].
 
     A principal J = (g) is tested against I itself, one base-p digit of m at
     a time, and no bracket power of I is built.  With q = p^e:
@@ -337,76 +346,80 @@ def _least_power_inside(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int
     Buchberger runs on I alone, every root is a level-1 root (the generators
     of S_j keep degree at most deg(g)), and q need not fit a machine word.
 
-    A non-principal J keeps raising its powers into I^[q].  Those powers
-    are not products of bracket powers: J^(pa+c) != (J^a)^[p] J^c in
-    general ((x, y)^2 holds xy, which (x, y)^[2] = (x^2, y^2) does not),
-    so the projection formula has nothing to peel.  Each probe raises the members
-    one by one (a principal member by base-p splitting), so a non-principal
-    weighted product's generator list is never squared.
+    A non-principal J raises its powers into I^[q], built once per level, so
+    p^e_max must fit a machine word; that is checked before any search.
+    Those powers are not products of bracket powers: J^(pa+c) != (J^a)^[p] J^c
+    in general ((x, y)^2 holds xy, which (x, y)^[2] = (x^2, y^2) does not),
+    so the projection formula has nothing to peel.  Each probe raises the
+    members one by one (a principal member by base-p splitting), so a
+    non-principal weighted product's generator list is never squared.  The
+    fail-fast reads I itself: rad(I^[q]) = rad(I), and I^[q] is monomial
+    exactly when I is.
     """
-    J = _product_of_powers(fam, r)
-    if len(J.gens) == 1:
+    J = reduce_to_single(fam, r)
+    if not isinstance(e_max, int) or e_max < 0:
+        raise ValueError(f"level must be a non-negative integer, got {e_max!r}")
+    # I^[p^e] lies in I and holds 1 when I does: it is the unit ideal exactly when I is
+    if ideal_contains(I, IdealGens.unit(fam.ring)):
+        raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
+    p, s = fam.ring.p, len(J.gens)
+    if s == 1:
         single = IdealFamily(fam.ring, (J,))
-        p = fam.ring.p
-
-        def contained(m: int) -> bool:
-            S = IdealGens.unit(fam.ring)
-            for _ in range(e):
-                m, d = divmod(m, p)
-                S = _digit_step(single, S, (d,))
-            return ideal_contains(I, ideal_product(S, ideal_power(J, m)))
     else:
-        target = bracket_power(I, FrobLevel(fam.ring.p, e)) if e else I
+        FrobLevel(p, e_max)  # OverflowError past a machine word, before any search
 
-        def contained(m: int) -> bool:
+    def contained(m: int, e: int, target: IdealGens) -> bool:
+        if s > 1:
             return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
+        S = IdealGens.unit(fam.ring)
+        for _ in range(e):
+            m, d = divmod(m, p)
+            S = _digit_step(single, S, (d,))
+        return ideal_contains(I, ideal_product(S, ideal_power(J, m)))
 
-    if bracket is None:
-        hi = 1
-        while not contained(hi):
-            if hi == 1 and _outside_monomial_radical(J, I):
-                raise UnboundedError(
-                    f"{what}: a term of the weighted product lies outside the radical "
-                    "of the monomial target; radical condition violated"
-                )
-            if hi > _SEARCH_CAP:
-                raise UnboundedError(
-                    f"{what}: containment still fails at m={hi}; radical condition violated?"
-                )
-            hi *= 2
-        lo = hi // 2
-    else:
-        lo, hi = bracket
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if contained(mid):
-            hi = mid
+    v: list[int] = []
+    for e in range(e_max + 1):
+        target = bracket_power(I, FrobLevel(p, e)) if s > 1 and e else I
+        if e:
+            lo, hi = p * v[-1], p * (v[-1] + 1) + (s - 1) * (p - 1)
         else:
-            lo = mid
-    return hi
+            hi = 1
+            while not contained(hi, 0, I):
+                if hi == 1 and _outside_monomial_radical(J, I):
+                    raise UnboundedError(
+                        "v-number search: a term of the weighted product lies outside the "
+                        "radical of the monomial target; radical condition violated"
+                    )
+                if hi > _SEARCH_CAP:
+                    raise UnboundedError(
+                        f"v-number search: containment still fails at m={hi}; "
+                        "radical condition violated?"
+                    )
+                hi *= 2
+            lo = hi // 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if contained(mid, e, target):
+                hi = mid
+            else:
+                lo = mid
+        v.append(hi - 1)
+    return v, s
 
 
 def v_number(fam: IdealFamily, r: Sequence[int], I: IdealGens, e: int) -> int:
     """Largest m with a_1^(m r_1) ... a_n^(m r_n) not inside the e-th bracket power of I.
 
-    Containment is monotone in m, so an exponential probe followed by binary
-    search finds the boundary.  A principal weighted product is tested digit
-    by digit against I itself (see _least_power_inside), so p^e need not
-    fit a machine word; a non-principal one is tested against I^[p^e].
-    Raises ValueError unless some weight is positive (then no power ever
-    leaves the unit ideal) or unless e is a non-negative integer,
-    ZeroRegionError when I is the unit ideal (even m = 0 is contained) and
-    UnboundedError when no containment shows up below _SEARCH_CAP, or at
-    once when I is monomial and the weighted product has a term outside its
-    radical.
+    The last entry of the chain of _v_numbers, which climbs from level 0 and
+    says how each level is searched.  Raises ValueError unless some weight
+    is positive (then no power ever leaves the unit ideal) or unless e is a
+    non-negative integer, ZeroRegionError when I is the unit ideal (even
+    m = 0 is contained), OverflowError when the weighted product is
+    non-principal and p^e exceeds a machine word, and UnboundedError when
+    no containment shows up below _SEARCH_CAP, or at once when I is monomial
+    and the weighted product has a term outside its radical.
     """
-    _check_weights(fam, r)
-    if not isinstance(e, int) or e < 0:
-        raise ValueError(f"level must be a non-negative integer, got {e!r}")
-    # I^[p^e] lies in I and holds 1 when I does: it is the unit ideal exactly when I is
-    if ideal_contains(I, IdealGens.unit(fam.ring)):
-        raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
-    return _least_power_inside(fam, r, I, e, "v-number search") - 1
+    return _v_numbers(fam, r, I, e)[0][-1]
 
 
 @dataclass(frozen=True)
@@ -418,37 +431,19 @@ class FThresholdResult:
 def f_threshold(fam: IdealFamily, r: Sequence[int], I: IdealGens, e_max: int) -> FThresholdResult:
     """The non-decreasing sequence v_e / p^e for e = 1..e_max, with limit bracket.
 
-    One doubling search finds v_0 = l - 1, where l is the least power of the
-    weighted product J inside I.  Every level e = 1..e_max is then bisected
-    inside a bracket from the level below: with s = len(J.gens) and
-    q = p^(e-1), the least power of J inside I^[pq] lies in
-    (p v_(e-1), p (v_(e-1) + 1) + (s - 1)(p - 1)], also at q = 1.
-      - Lower end: Frobenius is flat, so J^v not inside I^[q] gives
-        (J^v)^[p] not inside I^[pq], and (J^v)^[p] lies in J^(pv).
-      - Upper end: a product of N = p a + (s - 1)(p - 1) generators of J has
-        exponents n_i = p b_i + c_i with c_i <= p - 1, so sum b_i >= a and
-        J^N lies in (J^a)^[p]; with a = v + 1 and J^(v+1) inside I^[q] this
-        puts J^N inside I^[pq].
-    A principal J (s = 1) decides each probe g^m in I^[p^e] as
-    (g^m)^[1/p^e] in I, reading m's base-p digits least significant first
-    (adjunction, root composition and projection; see _least_power_inside):
-    Buchberger runs on I only and e_max has no machine-word cap.  A
-    non-principal J tests its powers against each I^[p^e], and p^e must fit
-    a machine word (OverflowError otherwise).
-    The limit lies in [values[-1], l*s] = [values[-1], (v_0 + 1) s].
+    Reads the chain v_0, ..., v_e_max of _v_numbers: one doubling search at
+    level 0, then one bisection per level.  With l = v_0 + 1 the least power
+    of the weighted product J inside I and s = len(J.gens), the limit lies
+    in [values[-1], l*s].  A principal J has no machine-word cap on e_max; a
+    non-principal J raises OverflowError before any search when p^e_max
+    exceeds a machine word.
     """
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
     p = fam.ring.p
-    v = v_number(fam, r, I, 0)
-    s = len(reduce_to_single(fam, r).gens)
-    upper = Fraction((v + 1) * s)
-    values = []
-    for e in range(1, e_max + 1):
-        bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
-        v = _least_power_inside(fam, r, I, e, "v-number search", bracket) - 1
-        values.append(Fraction(v, p ** e))
-    return FThresholdResult(tuple(values), upper)
+    v, s = _v_numbers(fam, r, I, e_max)
+    return FThresholdResult(tuple(Fraction(v[e], p ** e) for e in range(1, e_max + 1)),
+                            Fraction((v[0] + 1) * s))
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,14 @@ def test_threshold_golden_outputs(capsys, argv, code, out, err):
     assert run(capsys, "threshold", *argv) == (code, out, err)
 
 
+@pytest.mark.parametrize("e_max", [40, 41])
+def test_non_principal_threshold_past_a_machine_word_exit_4(capsys, e_max):
+    """3^40 exceeds a machine word: a non-principal search is refused before it climbs."""
+    argv = ("-p", "3", "-vars", "x,y", "-ideal", "x;y", "-r", "1", *XY, "-e-max", str(e_max))
+    assert run(capsys, "threshold", *argv) == (
+        4, "", f"resource limit: p^e = 3^{e_max} exceeds machine word\n")
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))

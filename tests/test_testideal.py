@@ -688,19 +688,72 @@ def _two_planes():
     return fam, _ideal(ring, "x", "y", "z")
 
 
+def _linear_form():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x+y")]), _ideal(ring, "x", "y")
+
+
+def _maximal_against_itself():
+    ring = Ring(3, ["x", "y"])
+    maximal = _ideal(ring, "x", "y")
+    return IdealFamily(ring, [maximal]), maximal
+
+
+def _non_monomial_target():
+    ring = Ring(3, ["x", "y"])
+    return IdealFamily(ring, [_ideal(ring, "x*y+y^2+2")]), _ideal(ring, "x", "y^2+2")
+
+
+def _seven_poly():
+    """The F_7 polynomial whose digit steps mostly reach the unit ideal."""
+    ring = Ring(7, ["x", "y", "z"])
+    g = "2*x^3*y^2*z^2+3*x^3*z^2+2*x*y^2*z+2*x^2*z^2+3*x^3"
+    return IdealFamily(ring, [_ideal(ring, g)]), _ideal(ring, "x", "y", "z")
+
+
+def _inside(fam, r, I, e, m):
+    """J^m in I^[p^e] straight from the definition: no digit chain and no private helper."""
+    return ideal_contains(bracket_power(I, FrobLevel(fam.ring.p, e)),
+                          ideal_power(reduce_to_single(fam, r), m))
+
+
+def _bisect(inside, lo, hi):
+    """The least m in (lo, hi] with inside(m), for a monotone inside that holds at hi."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if inside(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _brute_v(fam, r, I, e):
+    """v_e by doubling from m = 1 at level e, then bisecting, on the in-test predicate."""
+    hi = 1
+    while not _inside(fam, r, I, e, hi):
+        hi *= 2
+    return _bisect(lambda m: _inside(fam, r, I, e, m), hi // 2, hi) - 1
+
+
 @pytest.mark.parametrize("make,r,e_max", [
     (_staircase_and_maximal, (1, 1), 6),
     (lambda: _cusp(2), (1,), 6),
     (lambda: _cusp(5), (1,), 4),
     (_monomial, (1,), 4),
     (_two_planes, (1, 1), 3),
-], ids=["staircase", "cusp-p2", "cusp-p5", "monomial", "two-planes"])
+    (_non_monomial_target, (1,), 3),
+    (_seven_poly, (1,), 2),
+], ids=["staircase", "cusp-p2", "cusp-p5", "monomial", "two-planes", "non-monomial-target",
+        "seven-poly"])
 def test_f_threshold_matches_v_number_at_every_level(make, r, e_max):
+    """Both read one chain; each is checked against a brute-force v_e at every level."""
     fam, I = make()
     p = fam.ring.p
+    brute = [_brute_v(fam, r, I, e) for e in range(e_max + 1)]
+    assert [v_number(fam, r, I, e) for e in range(e_max + 1)] == brute
     res = f_threshold(fam, r, I, e_max)
-    assert res.values == tuple(Fraction(v_number(fam, r, I, e), p ** e)
-                               for e in range(1, e_max + 1))
+    assert res.values == tuple(Fraction(brute[e], p ** e) for e in range(1, e_max + 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -727,34 +780,15 @@ def test_v_number_bracket_from_the_level_before(p):
 
 def _two_search_f_threshold(fam, r, I, e_max):
     """f_threshold as two searches: v_1 by doubling, and l by a second doubling at level 0."""
-    import pfractal.testideal as ti
-
     p = fam.ring.p
-    v = v_number(fam, r, I, 1)
     s = len(reduce_to_single(fam, r).gens)
+    v = _brute_v(fam, r, I, 1)
     values = [Fraction(v, p)]
     for e in range(2, e_max + 1):
-        bracket = (p * v, p * (v + 1) + (s - 1) * (p - 1))
-        v = ti._least_power_inside(fam, r, I, e, "v-number search", bracket) - 1
+        v = _bisect(lambda m: _inside(fam, r, I, e, m),
+                    p * v, p * (v + 1) + (s - 1) * (p - 1)) - 1
         values.append(Fraction(v, p ** e))
-    l_min = ti._least_power_inside(fam, r, I, 0, "bound search")
-    return FThresholdResult(tuple(values), Fraction(l_min * s))
-
-
-def _linear_form():
-    ring = Ring(3, ["x", "y"])
-    return IdealFamily(ring, [_ideal(ring, "x+y")]), _ideal(ring, "x", "y")
-
-
-def _maximal_against_itself():
-    ring = Ring(3, ["x", "y"])
-    maximal = _ideal(ring, "x", "y")
-    return IdealFamily(ring, [maximal]), maximal
-
-
-def _non_monomial_target():
-    ring = Ring(3, ["x", "y"])
-    return IdealFamily(ring, [_ideal(ring, "x*y+y^2+2")]), _ideal(ring, "x", "y^2+2")
+    return FThresholdResult(tuple(values), Fraction((_brute_v(fam, r, I, 0) + 1) * s))
 
 
 @pytest.mark.parametrize("make,r,e_max", [
@@ -772,6 +806,59 @@ def test_one_search_f_threshold_matches_two_searches(make, r, e_max):
     """v_0 = l - 1 from one doubling at level 0 gives the values and upper l s of two searches."""
     fam, I = make()
     assert f_threshold(fam, r, I, e_max) == _two_search_f_threshold(fam, r, I, e_max)
+
+
+@pytest.mark.parametrize("make,r", [(_maximal_against_itself, (1,)), (_two_planes, (1, 1))],
+                         ids=["maximal", "two-planes"])
+def test_v_number_bisects_each_level_inside_its_bracket(make, r, monkeypatch):
+    """v_number(e=3) climbs the chain: every level-3 probe lies in the bracket from v_2.
+
+    The exponents reaching _product_of_powers are the weighted product r
+    and then the probes m r; bracket_power marks where each level starts,
+    and each level's I^[p^e] is built once.
+    """
+    import pfractal.testideal as ti
+
+    fam, I = make()
+    p = fam.ring.p
+    s = len(reduce_to_single(fam, r).gens)
+    v_2 = _brute_v(fam, r, I, 2)
+    log = []
+    product_of_powers, bracket = ti._product_of_powers, ti.bracket_power
+
+    def probed(fam, exponents):
+        log.append(tuple(exponents))
+        return product_of_powers(fam, exponents)
+
+    def levelled(I, level):
+        log.append(("level", level.e))
+        return bracket(I, level)
+
+    monkeypatch.setattr(ti, "_product_of_powers", probed)
+    monkeypatch.setattr(ti, "bracket_power", levelled)
+    v_number(fam, r, I, 3)
+    level_3 = log[log.index(("level", 3)) + 1:]
+    assert level_3 and all(exps == tuple(exps[0] // r[0] * r_i for r_i in r) for exps in level_3)
+    assert all(p * v_2 < exps[0] // r[0] <= p * (v_2 + 1) + (s - 1) * (p - 1) for exps in level_3)
+    assert [x for x in log if x[0] == "level"] == [("level", e) for e in (1, 2, 3)]
+
+
+def test_non_principal_level_past_a_machine_word_fails_before_any_search(monkeypatch):
+    """3^40 exceeds a machine word: (x, y) against itself probes no power but J itself."""
+    import pfractal.testideal as ti
+
+    fam, I = _maximal_against_itself()
+    product_of_powers = ti._product_of_powers
+
+    def only_r(fam, exponents):
+        if tuple(exponents) != (1,):
+            raise AssertionError(f"probe {tuple(exponents)} before the level check")
+        return product_of_powers(fam, exponents)
+
+    monkeypatch.setattr(ti, "_product_of_powers", only_r)
+    for search in (lambda: f_threshold(fam, (1,), I, 40), lambda: v_number(fam, (1,), I, 40)):
+        with pytest.raises(OverflowError, match=r"^p\^e = 3\^40 exceeds machine word$"):
+            search()
 
 
 def test_one_search_f_threshold_errors(F3xy, staircase, maximal):
