@@ -7,9 +7,11 @@ exact shortcut: a single bracket root of the whole product, with no
 stabilization loop and no Skoda peeling.  At every other point Skoda's
 theorem peels off integer units of any coordinate that reaches the generator
 count of its ideal before the loop runs.  One search chain, level by
-level, finds the v-numbers behind F-thresholds; it decides a principal
-power g^m in I^[p^e] as (g^m)^[1/p^e] in I, one level-1 root per base-p
-digit of m.
+level, finds the v-numbers behind F-thresholds.  Along a principal
+J = (g), the threshold and jump searches read g^m at level e as
+(g^m)^[1/p^e] = S_e g^floor(m/p^e), one level-1 root per base-p digit of
+m, from a digit table that lives for one call and takes each transition
+once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     IdealGens,
@@ -110,9 +112,10 @@ class TauConfig:
 DEFAULT_TAU_CONFIG = TauConfig()
 
 
-# Kept: without it the k=4 staircase raster took 1.88 s instead of 0.81 s
-# and the fractal workload 8.4 s instead of 2.6 s (bench/run.py, seed 0,
-# 20 s per run, 2 cores, Python 3.11).
+# Kept: tau_mixed and the chi oracle take their principal powers here, through
+# _principal_product; without it the k=4 staircase raster took 1.88 s instead
+# of 0.81 s and the fractal workload 8.4 s instead of 2.6 s (bench/run.py,
+# seed 0, 20 s per run, 2 cores, Python 3.11).
 @lru_cache(maxsize=4096)
 def _cached_pow(f: Polynomial, n: int) -> Polynomial:
     return poly_pow(f, n)
@@ -301,9 +304,11 @@ def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
     """(S * gens_1^d_1 ... gens_n^d_n)^[1/p] for an all-principal family.
 
     One base-p digit vector d of an exponent, read least significant first;
-    _v_numbers builds the chain of these steps and says why it is exact.  A
-    root with a unit generator is the unit ideal and comes back as (1), so
-    later steps of the chain do not carry its other generators.
+    _DigitTable takes these steps, once per (state, digit) within a call,
+    and _v_numbers says why the chain is exact.  A root with a unit
+    generator is the unit ideal and comes back as (1), so later steps of the
+    chain do not carry its other generators, and every unit state has one
+    generator tuple.
     """
     prod = S
     for a_i, d_i in zip(fam.ideals, d):
@@ -311,6 +316,48 @@ def _digit_step(fam: IdealFamily, S: IdealGens, d: Sequence[int]) -> IdealGens:
             prod = ideal_product(prod, IdealGens(fam.ring, (poly_pow(a_i.gens[0], d_i),)))
     root = ideal_bracket_root(prod, FrobLevel(fam.ring.p, 1))
     return IdealGens.unit(fam.ring) if root.has_unit_generator() else root
+
+
+class _DigitTable:
+    """The digit chain of one principal J = (g), each transition taken once.
+
+    read(m, e) returns (S_e, t) with t = floor(m / p^e), S_0 = R and
+    S_(j+1) = _digit_step(S_j, d_j) over the base-p digits d_j of m, least
+    significant first, so that (g^m)^[1/p^e] = S_e g^t (_v_numbers proves
+    it).  A transition (S, d) not met before runs _digit_step once.  States
+    are compared by their generator tuples, not by reduced basis: a
+    Buchberger run per state made v_number of the F_7 polynomial
+    2x^3y^2z^2+3x^3z^2+2xy^2z+2x^2z^2+3x^3 against (x, y, z) over ten times
+    slower at e = 1 and five times slower at e = 2.  value(m, e) is judge(S_e g^t),
+    decided once per (S_e, t).  A table lives for one search.
+    """
+
+    __slots__ = ("single", "judge", "unit", "steps", "values")
+
+    def __init__(self, single: IdealFamily, judge: Callable[[IdealGens], object]):
+        self.single = single
+        self.judge = judge
+        self.unit = IdealGens.unit(single.ring)
+        self.steps: dict[tuple[IdealGens, int], IdealGens] = {}
+        self.values: dict[tuple[IdealGens, int], object] = {}
+
+    def read(self, m: int, e: int) -> tuple[IdealGens, int]:
+        p, S = self.single.ring.p, self.unit
+        for _ in range(e):
+            m, d = divmod(m, p)
+            step = self.steps.get((S, d))
+            if step is None:
+                step = self.steps[S, d] = _digit_step(self.single, S, (d,))
+            S = step
+        return S, m
+
+    def value(self, m: int, e: int):
+        state = self.read(m, e)
+        if state not in self.values:
+            S, t = state
+            J = self.single.ideals[0]
+            self.values[state] = self.judge(ideal_product(S, ideal_power(J, t)))
+        return self.values[state]
 
 
 def _v_numbers(fam: IdealFamily, r: Sequence[int], I: IdealGens,
@@ -345,6 +392,8 @@ def _v_numbers(fam: IdealFamily, r: Sequence[int], I: IdealGens,
     composition and project.  At j = e the test is S_e g^t inside I.  So
     Buchberger runs on I alone, every root is a level-1 root (the generators
     of S_j keep degree at most deg(g)), and q need not fit a machine word.
+    One _DigitTable serves the whole chain: each transition is taken once,
+    and each (S_e, t) has its containment in I decided once.
 
     A non-principal J raises its powers into I^[q], built once per level, so
     p^e_max must fit a machine word; that is checked before any search.
@@ -364,18 +413,14 @@ def _v_numbers(fam: IdealFamily, r: Sequence[int], I: IdealGens,
         raise ZeroRegionError("target ideal is the unit ideal; every power is contained")
     p, s = fam.ring.p, len(J.gens)
     if s == 1:
-        single = IdealFamily(fam.ring, (J,))
+        table = _DigitTable(IdealFamily(fam.ring, (J,)), lambda Sg: ideal_contains(I, Sg))
     else:
         FrobLevel(p, e_max)  # OverflowError past a machine word, before any search
 
     def contained(m: int, e: int, target: IdealGens) -> bool:
         if s > 1:
             return ideal_contains(target, _product_of_powers(fam, [m * r_i for r_i in r]))
-        S = IdealGens.unit(fam.ring)
-        for _ in range(e):
-            m, d = divmod(m, p)
-            S = _digit_step(single, S, (d,))
-        return ideal_contains(I, ideal_product(S, ideal_power(J, m)))
+        return table.value(m, e)
 
     v: list[int] = []
     for e in range(e_max + 1):
@@ -459,14 +504,16 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     """Locate jumps of t -> tau(J^t), J the weighted product, on the level-k grid.
 
     Reports, in ascending order, each cell ((m-1)/p^k, m/p^k] with
-    0 < m <= ceil(bound * p^k) where the canonical key changes.  When J is
-    principal every grid point takes the exact principal route, and tau is
-    antitone in t: equal keys at lo < hi mean tau(J^(lo/p^k)) and
-    tau(J^(hi/p^k)) are one ideal that squeezes tau at every point between,
-    so the walk bisects only intervals whose end keys differ.  Otherwise the
-    values come from the confirmation window, which need not be antitone,
-    so the walk steps through every m in ascending order and meets the
-    first NotStabilizedError of a full scan.
+    0 < m <= ceil(bound * p^k) where the canonical key changes.  When J =
+    (g) is principal, tau(J^(m/p^k)) = (g^m)^[1/p^k] is read off one
+    _DigitTable as S_k g^floor(m/p^k): no power g^m is expanded, each digit
+    transition is taken once, and each (S_k, t) is keyed once, so k need
+    not fit a machine word.  tau is antitone in t: equal keys at lo < hi
+    mean tau(J^(lo/p^k)) and tau(J^(hi/p^k)) are one ideal that squeezes tau
+    at every point between, so the walk bisects only intervals whose end
+    keys differ.  Otherwise the values come from tau_mixed's confirmation
+    window, which need not be antitone, so the walk steps through every m in
+    ascending order and meets the first NotStabilizedError of a full scan.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -478,8 +525,14 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     q = fam.ring.p ** k
     top = _ceil(bound * q)
 
-    def key_at(m: int) -> str:
-        return ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
+    if single.all_principal:
+        table = _DigitTable(single, ideal_key)
+
+        def key_at(m: int) -> str:
+            return table.value(m, k)
+    else:
+        def key_at(m: int) -> str:
+            return ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
 
     # a principal J is walked as one interval, a windowed one in unit steps
     step = top if single.all_principal else 1

@@ -168,6 +168,20 @@ def test_jump_command(capsys):
     ]
 
 
+def test_principal_jump_past_a_machine_word(capsys):
+    """3^45 exceeds a machine word; a principal jump line never expands g^m nor builds q."""
+    code, out, err = run(capsys, "jump", "-p", "3", "-vars", "x,y", "-ideal", "x+y",
+                         "-ideal", "x*y", "-r", "1,1", "-k", "45", "-bound", "1")
+    assert (code, err) == (0, "")
+    q = 3 ** 45
+    assert json.loads(out) == [
+        {"lo": str(Fraction(2 * 3 ** 44 - 1, q)), "hi": "2/3", "key_before": "1",
+         "key_after": "x;y"},
+        {"lo": str(Fraction(q - 1, q)), "hi": "1", "key_before": "x;y",
+         "key_after": "x^2*y+x*y^2"},
+    ]
+
+
 def test_staircase_command(capsys):
     code, out, _ = run(capsys, "staircase", "-depth", "1")
     assert code == 0

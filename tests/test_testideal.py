@@ -457,6 +457,13 @@ def test_staircase_v_numbers_at_deep_levels(staircase, maximal):
     assert res.upper == 1
 
 
+def test_staircase_v_numbers_past_a_machine_word(staircase, maximal):
+    """The closed form v_e = 2 3^(e-1) - 1 holds up to e = 40, where 3^e exceeds 2^63."""
+    res = f_threshold(staircase, (1, 1), maximal, 40)
+    assert res.values == tuple(Fraction(2 * 3 ** (e - 1) - 1, 3 ** e) for e in range(1, 41))
+    assert res.upper == 1
+
+
 def _digit_chain(g, m, p, e):
     """S_e g^floor(m/p^e) with S_0 = R and S_(j+1) = (S_j g^(d_j))^[1/p]."""
     import pfractal.testideal as ti
@@ -481,6 +488,47 @@ def test_digit_chain_is_the_bracket_root(p):
             m = rng.randint(0, 2 * p ** e + p)
             assert ideal_equal(_digit_chain(g, m, p, e),
                                poly_bracket_root(poly_pow(g, m), FrobLevel(p, e)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_table_reads_the_bracket_root(p):
+    """One table per g, read at many m: S_e g^t equals (g^m)^[1/p^e] on hits and misses."""
+    import pfractal.testideal as ti
+
+    rng = random.Random(950 + p)
+    for n_vars in (1, 2, 3):
+        ring = Ring(p, ["x", "y", "z"][:n_vars])
+        for _ in range(3):
+            g = _random_poly(ring, rng, deg=2 if n_vars == 3 else 3)
+            table = ti._DigitTable(IdealFamily(ring, [IdealGens(ring, [g])]), None)
+            e = rng.randint(1, 3)
+            reads = 0
+            for m in range(min(2 * p ** e + p, 30)):
+                S, t = table.read(m, e)
+                reads += e
+                assert t == m // p ** e
+                assert ideal_equal(ideal_product(S, IdealGens(ring, [poly_pow(g, t)])),
+                                   poly_bracket_root(poly_pow(g, m), FrobLevel(p, e)))
+            assert len(table.steps) < reads  # some transitions were read from the table
+
+
+def test_principal_searches_take_each_digit_transition_once(staircase, maximal, monkeypatch):
+    """No (state, digit vector) pair reaches _digit_step twice within one search."""
+    import pfractal.testideal as ti
+
+    steps = []
+    digit_step = ti._digit_step
+
+    def recorded(fam, S, d):
+        steps.append((S, d))
+        return digit_step(fam, S, d)
+
+    monkeypatch.setattr(ti, "_digit_step", recorded)
+    f_threshold(staircase, (1, 1), maximal, 8)
+    assert steps and len(steps) == len(set(steps))
+    steps.clear()
+    jumping_scan(staircase, (1, 1), 5, 1)
+    assert steps and len(steps) == len(set(steps))
 
 
 def _redundant(fam):
@@ -624,7 +672,11 @@ def _records(jumps):
     (7, ("x*y*(x+y)",), 2),
 ])
 def test_jumping_scan_matches_a_full_scan(p, texts, k_max):
-    """Bisection on a principal weighted product finds every jump of the full scan."""
+    """Bisection on a principal weighted product finds every jump of the full scan.
+
+    Two independent routes: the scan reads each key off its digit table, and
+    the full scan takes tau_mixed, one root of g^m, at every grid point.
+    """
     ring = Ring(p, ["x", "y"])
     fam = IdealFamily(ring, [_ideal(ring, t) for t in texts])
     r = (1,) * len(texts)
@@ -657,6 +709,13 @@ def test_jumping_scan_bisects_a_principal_line(staircase, monkeypatch):
     assert [(str(j.lo), str(j.hi)) for j in jumps] == [("161/243", "2/3"), ("242/243", "1")]
     assert len(calls) <= 40
     assert len(calls) == len(set(calls))
+
+
+def test_jumping_scan_takes_no_tau_on_a_principal_line(staircase, monkeypatch):
+    calls = _count_tau_calls(monkeypatch)
+    jumps = jumping_scan(staircase, (1, 1), 5, 1)
+    assert [(str(j.lo), str(j.hi)) for j in jumps] == [("161/243", "2/3"), ("242/243", "1")]
+    assert calls == []
 
 
 def test_jumping_scan_walks_every_windowed_point(F3xy, monkeypatch):
