@@ -24,8 +24,8 @@ from .groebner import ResourceLimitError, buchberger, pair_budget
 from .region import (
     Box,
     RegionRaster,
+    _staircase_points,
     rasterize,
-    staircase_boundary,
     verify_fractal_identity,
 )
 from .testideal import (
@@ -150,19 +150,19 @@ def palette_color(index: int) -> tuple[int, int, int]:
 
 def _write_ppm(fh, raster: RegionRaster) -> None:
     w, h = raster.shape
+    colors = [" ".join(map(str, palette_color(i))) for i in range(len(raster.palette))]
+    values = raster.values  # row-major: cell (col, row) is values[col * h + row]
     lines = [f"P3\n{w} {h}\n255\n"]
     for row in range(h - 1, -1, -1):
-        pix = []
-        for col in range(w):
-            r, g, b = palette_color(raster.value_at((col, row)))
-            pix.append(f"{r} {g} {b}")
-        lines.append(" ".join(pix) + "\n")
+        lines.append(" ".join([colors[v] for v in values[row::h]]) + "\n")
     fh.writelines(lines)
 
 
 def _write_csv(fh, raster: RegionRaster) -> None:
-    for idx in product(*map(range, raster.shape)):
-        fh.write(",".join(str(i) for i in idx) + "," + raster.key_at(idx) + "\n")
+    palette = raster.palette
+    axes = [[str(i) for i in range(n)] for n in raster.shape]
+    fh.writelines(",".join(idx) + "," + palette[v] + "\n"
+                  for idx, v in zip(product(*axes), raster.values))
 
 
 def _legend(raster: RegionRaster) -> dict:
@@ -253,8 +253,13 @@ def _cmd_fractal_check(args) -> int:
 
 
 def _cmd_staircase(args) -> int:
-    points = staircase_boundary(args.depth)
-    _emit([list(pt.labels()) for pt in points])
+    # the bytes of _emit on the whole list, written one point at a time
+    out = sys.stdout
+    sep = "["
+    for pt in _staircase_points(args.depth):
+        out.write(sep + json.dumps(list(pt.labels()), separators=(",", ":")))
+        sep = ","
+    out.write("]\n")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import IdealGens, as_fraction
 from .frobenius import FrobLevel, bracket_power
@@ -189,24 +189,28 @@ def rasterize(fam: IdealFamily, box: Box, k: int,
     """Evaluate tau on every grid point of the box at level k.
 
     Cells are scanned row-major with the last index fastest; the palette is
-    assigned in first-encounter order, so the output is deterministic.  Each
-    tau is interned on its generator tuple, so the reduced basis of each
-    distinct presentation is computed once, on the interned object.
+    assigned in first-encounter order, so the output is deterministic.  One
+    map sends each presentation of tau (its generator tuple) to its palette
+    index, so the reduced basis of each distinct presentation is computed
+    once, on the first cell that meets it.
     """
     shape = _family_shape(fam, box, k)
-    interned: dict[IdealGens, IdealGens] = {}
+    cell_of: dict[IdealGens, int] = {}
     # keyed by reduced basis, which determines the printed key and back
     index_of: dict[IdealGens, int] = {}
     cells = []
     q = fam.ring.p ** k
     axes = [[Fraction(i, q) for i in range(n)] for n in shape]
-    for idx, point in zip(product(*map(range, shape)), product(*axes)):
+    for point in product(*axes):
         try:
             tau = tau_mixed(fam, point, cfg)
         except NotStabilizedError as err:
+            idx = tuple(int(c * q) for c in point)
             raise CellNotStabilized(err.e_max, idx, point) from err
-        gb = buchberger(interned.setdefault(tau, tau))
-        cells.append(index_of.setdefault(gb, len(index_of)))
+        cell = cell_of.get(tau)
+        if cell is None:
+            cell = cell_of[tau] = index_of.setdefault(buchberger(tau), len(index_of))
+        cells.append(cell)
     palette = tuple(ideal_key(gb) for gb in index_of)
     return RegionRaster(fam.ring.p, box, k, tuple(cells), palette)
 
@@ -370,21 +374,31 @@ class DigitPoint:
         return "(" + ", ".join(self.labels()) + ")"
 
 
+def _staircase_points(depth: int) -> Iterator[DigitPoint]:
+    """The points of staircase_boundary(depth), in its order, one at a time.
+
+    Checks depth before the first point, then walks the tree of digit maps
+    depth first, the (01, 22) branch before the (21, 12) one, holding at
+    most depth + 1 digit pairs.
+    """
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError("depth must be a non-negative integer")
+    stack = [("1", "2", depth)]
+    while stack:
+        xd, yd, left = stack.pop()
+        if not left:
+            yield DigitPoint(3, (xd, yd))
+            continue
+        stack.append((xd[:-1] + "21", yd[:-1] + "12", left - 1))
+        stack.append((xd[:-1] + "01", yd + "2", left - 1))
+
+
 def staircase_boundary(depth: int) -> list[DigitPoint]:
     """Corner points of the base-3 staircase, generated by the two digit maps.
 
     Seed (0.1, 0.2); one map rewrites the pair of digit tails (1, 2) to
     (01, 22), the other to (21, 12).  Depth d yields 2^d points whose digit
-    strings have d + 1 digits.
+    strings have d + 1 digits, ordered by the sequence of maps applied, the
+    first map first and (01, 22) before (21, 12).
     """
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError("depth must be a non-negative integer")
-    points = [DigitPoint(3, ("1", "2"))]
-    for _ in range(depth):
-        nxt = []
-        for pt in points:
-            xd, yd = pt.digits
-            nxt.append(DigitPoint(3, (xd[:-1] + "01", yd + "2")))
-            nxt.append(DigitPoint(3, (xd[:-1] + "21", yd[:-1] + "12")))
-        points = nxt
-    return points
+    return list(_staircase_points(depth))

@@ -58,9 +58,10 @@ class IdealFamily:
 
     gen_counts records the number of stored generators of each member; the
     Skoda reduction threshold for coordinate i is gen_counts[i].
+    all_principal says whether every member has one generator.
     """
 
-    __slots__ = ("ring", "ideals", "gen_counts")
+    __slots__ = ("ring", "ideals", "gen_counts", "all_principal")
 
     def __init__(self, ring: Ring, ideals: Sequence[IdealGens]):
         members = tuple(ideals)
@@ -74,21 +75,18 @@ class IdealFamily:
         self.ring = ring
         self.ideals = members
         self.gen_counts = tuple(len(I.gens) for I in members)
+        self.all_principal = all(c == 1 for c in self.gen_counts)
 
     @property
     def n(self) -> int:
         return len(self.ideals)
-
-    @property
-    def all_principal(self) -> bool:
-        return all(c == 1 for c in self.gen_counts)
 
     def point(self, coords) -> tuple[Fraction, ...]:
         """Validate and coerce an exponent point for this family."""
         pt = tuple(as_fraction(c) for c in coords)
         if len(pt) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(pt)}")
-        if any(c < 0 for c in pt):
+        if any(c.numerator < 0 for c in pt):
             raise ValueError("exponent coordinates must be non-negative")
         return pt
 
@@ -129,16 +127,22 @@ def _floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def p_adic_level(point: Sequence[Fraction], p: int) -> int | None:
-    """Smallest s with all coordinates of the form m / p^s, or None."""
-    s = 0
+def _levels(point: Sequence[Fraction], p: int) -> list[int] | None:
+    """The e with denominator p^e of each coordinate, or None if one has no such e."""
+    levels = []
     for c in point:
         den = c.denominator
         e = round(math.log(den, p))  # the only candidate for den = p^e
         if den != p ** e:
             return None
-        s = max(s, e)
-    return s
+        levels.append(e)
+    return levels
+
+
+def p_adic_level(point: Sequence[Fraction], p: int) -> int | None:
+    """Smallest s with all coordinates of the form m / p^s, or None."""
+    levels = _levels(point, p)
+    return None if levels is None else max(levels, default=0)
 
 
 def _product_of_powers(fam: IdealFamily, exponents: Sequence[int]) -> IdealGens:
@@ -204,11 +208,11 @@ def _principal_padic(fam: IdealFamily, point: Sequence[Fraction]) -> tuple[list[
     if not fam.all_principal:
         return None
     p = fam.ring.p
-    s = p_adic_level(point, p)
-    if s is None:
+    levels = _levels(point, p)
+    if levels is None:
         return None
-    scale = p ** s
-    return [c_i.numerator * (scale // c_i.denominator) for c_i in point], s
+    s = max(levels)
+    return [c_i.numerator * p ** (s - e_i) for c_i, e_i in zip(point, levels)], s
 
 
 def _degree_bound_check(fam: IdealFamily, point, result: IdealGens):
@@ -513,7 +517,9 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
     at every point between, so the walk bisects only intervals whose end
     keys differ.  Otherwise the values come from tau_mixed's confirmation
     window, which need not be antitone, so the walk steps through every m in
-    ascending order and meets the first NotStabilizedError of a full scan.
+    ascending order and meets the first NotStabilizedError of a full scan;
+    p^k must then fit a machine word, which is checked before any tau_mixed
+    call (OverflowError).
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -531,6 +537,8 @@ def jumping_scan(fam: IdealFamily, r: Sequence[int], k: int, bound,
         def key_at(m: int) -> str:
             return table.value(m, k)
     else:
+        FrobLevel(fam.ring.p, k)  # OverflowError past a machine word, before any tau_mixed
+
         def key_at(m: int) -> str:
             return ideal_key(tau_mixed(single, (Fraction(m, q),), cfg))
 

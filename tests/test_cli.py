@@ -1,14 +1,18 @@
 """Command line wrapper: grammar, JSON output, exit codes, artifacts."""
 
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from pfractal.cli import main, palette_color, parse_rational
+from pfractal import Box, IdealFamily, IdealGens, RegionRaster, Ring, parse_polynomial, rasterize
+from pfractal.cli import _write_csv, _write_ppm, main, palette_color, parse_rational
 from fractions import Fraction
 
 
@@ -182,10 +186,45 @@ def test_principal_jump_past_a_machine_word(capsys):
     ]
 
 
+@pytest.mark.parametrize("k", [40, 45])
+def test_non_principal_jump_past_a_machine_word_exit_4(capsys, monkeypatch, k):
+    """3^40 exceeds a machine word: a non-principal line is refused before its first tau."""
+    import pfractal.testideal
+
+    def fail(*args, **kwargs):
+        raise AssertionError("tau_mixed called")
+
+    monkeypatch.setattr(pfractal.testideal, "tau_mixed", fail)
+    argv = ("-p", "3", "-vars", "x,y", "-ideal", "x;y", "-r", "1", "-k", str(k), "-bound", "1")
+    assert run(capsys, "jump", *argv) == (
+        4, "", f"resource limit: p^e = 3^{k} exceeds machine word\n")
+
+
 def test_staircase_command(capsys):
     code, out, _ = run(capsys, "staircase", "-depth", "1")
     assert code == 0
     assert json.loads(out) == [["0.01", "0.22"], ["0.21", "0.12"]]
+
+
+def _staircase_by_levels(depth):
+    """The staircase labels built level by level, every point of a level held at once."""
+    points = [("1", "2")]
+    for _ in range(depth):
+        points = [pair for xd, yd in points
+                  for pair in ((xd[:-1] + "01", yd + "2"), (xd[:-1] + "21", yd[:-1] + "12"))]
+    return [["0." + xd, "0." + yd] for xd, yd in points]
+
+
+@pytest.mark.parametrize("depth", range(9))
+def test_staircase_stream_matches_the_whole_list(capsys, depth):
+    """Points written one at a time give the bytes of the whole list's compact JSON."""
+    want = json.dumps(_staircase_by_levels(depth), separators=(",", ":")) + "\n"
+    assert run(capsys, "staircase", "-depth", str(depth)) == (0, want, "")
+
+
+def test_staircase_negative_depth_exit_1(capsys):
+    assert run(capsys, "staircase", "-depth", "-1") == (
+        1, "", "usage error: depth must be a non-negative integer\n")
 
 
 def test_fractal_check_command(capsys):
@@ -378,3 +417,53 @@ def test_raster_determinism(tmp_path, capsys):
         assert code == 0
         outs.append((ppm.read_bytes(), csv.read_bytes(), out))
     assert outs[0] == outs[1]
+
+
+def _ppm_cell_by_cell(raster):
+    """The PPM text with each pixel read through value_at and palette_color."""
+    w, h = raster.shape
+    lines = [f"P3\n{w} {h}\n255\n"]
+    for row in range(h - 1, -1, -1):
+        pix = []
+        for col in range(w):
+            r, g, b = palette_color(raster.value_at((col, row)))
+            pix.append(f"{r} {g} {b}")
+        lines.append(" ".join(pix) + "\n")
+    return "".join(lines)
+
+
+def _csv_cell_by_cell(raster):
+    """The CSV text with each cell's key read through key_at."""
+    return "".join(",".join(str(i) for i in idx) + "," + raster.key_at(idx) + "\n"
+                   for idx in product(*map(range, raster.shape)))
+
+
+def _written(writer, raster):
+    fh = io.StringIO()
+    writer(fh, raster)
+    return fh.getvalue()
+
+
+def _rasters():
+    ring = Ring(3, ["x", "y"])
+    fam = IdealFamily(ring, [IdealGens(ring, [parse_polynomial(g, ring)]) for g in ("x+y", "x*y")])
+    # non-square: a transposed cell index reads the wrong cell or runs off the end
+    yield rasterize(fam, Box((1, Fraction(2, 3))), 2)
+    # more than 16 palette entries: the colors of the second cycle are darkened
+    cells = math.prod(Box((2, 1)).shape(3, 2))
+    yield RegionRaster(3, Box((2, 1)), 2, tuple(i * 7 % 20 for i in range(cells)),
+                       tuple(f"k{i}" for i in range(20)))
+
+
+@pytest.mark.parametrize("raster", list(_rasters()), ids=["non-square", "20-colors"])
+def test_writers_match_the_cell_by_cell_form(raster):
+    assert raster.shape[0] != raster.shape[1]
+    assert _written(_write_ppm, raster) == _ppm_cell_by_cell(raster)
+    assert _written(_write_csv, raster) == _csv_cell_by_cell(raster)
+
+
+@pytest.mark.parametrize("box,k", [((2,), 1), ((1, 1, Fraction(1, 3)), 1)], ids=["1-axis", "3-axis"])
+def test_csv_writer_matches_the_cell_by_cell_form_off_two_axes(box, k):
+    cells = math.prod(Box(box).shape(3, k))
+    raster = RegionRaster(3, Box(box), k, tuple(i % 3 for i in range(cells)), ("1", "x;y", "x*y"))
+    assert _written(_write_csv, raster) == _csv_cell_by_cell(raster)

@@ -250,6 +250,28 @@ def test_principal_raster_takes_one_root_per_cell(staircase, monkeypatch):
     assert calls == {"tau_mixed": 100, "poly_bracket_root": 100}
 
 
+@pytest.mark.parametrize("p,names,gens,box", [
+    (3, ["x", "y"], ("x+y", "x*y"), (1, 1)),
+    (2, ["x", "y", "z"], ("x+y", "x*y+z", "y*z"), (1, 1, 1)),
+], ids=["staircase", "F2-three-members"])
+def test_raster_keys_every_presentation_by_its_reduced_basis(p, names, gens, box):
+    """Palette and cells equal keying each cell by its reduced basis, first encounter first."""
+    ring = Ring(p, names)
+    fam = IdealFamily(ring, [_ideal(ring, g) for g in gens])
+    r = rasterize(fam, Box(box), 2)
+    palette, cells, presentations = [], [], set()
+    for idx in product(*map(range, r.shape)):
+        tau = tau_mixed(fam, r.point_at(idx))
+        presentations.add(tau)
+        key = ideal_key(buchberger(tau))
+        if key not in palette:
+            palette.append(key)
+        cells.append(palette.index(key))
+    assert (r.palette, r.values) == (tuple(palette), tuple(cells))
+    # several presentations share a palette entry, so merging them is exercised
+    assert len(presentations) > len(r.palette)
+
+
 def test_raster_matches_pointwise_tau(staircase):
     r = rasterize(staircase, Box((1, 1)), 1)
     for i in range(4):

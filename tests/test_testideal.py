@@ -75,6 +75,13 @@ def test_family_validation(F3xy):
         fam.point((Fraction(1),))
 
 
+@pytest.mark.parametrize("bad", [Fraction(-1, 3), -1])
+def test_family_point_rejects_negative_coordinates(F3xy, bad):
+    fam = IdealFamily(F3xy, [_ideal(F3xy, "x+y"), _ideal(F3xy, "x*y")])
+    with pytest.raises(ValueError, match="^exponent coordinates must be non-negative$"):
+        fam.point((Fraction(1, 3), bad))
+
+
 # ------------------------------------------------------------------ tau values
 
 def test_tau_principal_pure_power(F3xy):
