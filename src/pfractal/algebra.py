@@ -8,6 +8,7 @@ exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 # Exponents must stay inside a machine word.
@@ -277,9 +278,10 @@ class Polynomial:
             (se, sc), = a.items()
             if not any(se) and sc == 1:
                 return other if a is self.terms else self
-            out = {}
-            for exps, c in b.items():
-                out[tuple(x + y for x, y in zip(exps, se))] = c * sc % p
+            if sc == 1:
+                out = {tuple(map(add, exps, se)): c for exps, c in b.items()}
+            else:
+                out = {tuple(map(add, exps, se)): c * sc % p for exps, c in b.items()}
             return Polynomial._make(self.ring, out)
         out = {}
         for e1, c1 in a.items():

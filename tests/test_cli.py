@@ -141,11 +141,17 @@ def test_threshold_golden_outputs(capsys, argv, code, out, err):
 
 
 @pytest.mark.parametrize("e_max", [40, 41])
-def test_non_principal_threshold_past_a_machine_word_exit_4(capsys, e_max):
-    """3^40 exceeds a machine word: a non-principal search is refused before it climbs."""
+def test_non_principal_threshold_past_a_machine_word(capsys, e_max):
+    """3^40 exceeds a machine word: (x, y) against itself still answers v_e = 2 * 3^e - 2."""
     argv = ("-p", "3", "-vars", "x,y", "-ideal", "x;y", "-r", "1", *XY, "-e-max", str(e_max))
-    assert run(capsys, "threshold", *argv) == (
-        4, "", f"resource limit: p^e = 3^{e_max} exceeds machine word\n")
+    values = [str(Fraction(2 * 3 ** e - 2, 3 ** e)) for e in range(1, e_max + 1)]
+    assert run(capsys, "threshold", *argv) == (0, json.dumps(values, separators=(",", ":")) + "\n", "")
+
+
+def test_windowed_tau_past_a_machine_word(capsys):
+    """Window levels are read digit by digit: level 40 > machine word is reached and agrees."""
+    argv = ("-p", "3", "-vars", "x", "-ideal", "x", "-c", "1/2", "-e-max", "45", "-window", "45")
+    assert run(capsys, "tau", *argv) == (0, '{"ring":{"p":3,"vars":["x"]},"gens":["1"]}\n', "")
 
 
 def test_module_entry_point():

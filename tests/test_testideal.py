@@ -18,6 +18,7 @@ from pfractal import (
     UnboundedError,
     ZeroRegionError,
     bracket_power,
+    buchberger,
     f_threshold,
     FrobLevel,
     ideal_bracket_root,
@@ -36,7 +37,7 @@ from pfractal import (
     tau_mixed,
     v_number,
 )
-from pfractal.testideal import _principal_padic
+from pfractal.testideal import _carry_root, _principal_padic, _product_of_powers
 
 
 def _ideal(ring, *texts):
@@ -208,11 +209,11 @@ def test_skoda_two_generator_member(F3xy):
 
 
 def test_windowed_tau_keys_do_not_depend_on_the_power_route(monkeypatch):
-    """ideal_power and a chain of repeated products give the window the same keys.
+    """The carry root and the root of the formed power a^m give the window the same keys.
 
-    This checks that the route to I^m changes no tau value, not that the
-    values are true: at 17/9 the window accepts (x, y) for (x, y)^(17/9),
-    whose test ideal is R (Howald).
+    This checks that the route to each chain member changes no tau value,
+    not that the values are true: at 17/9 the window accepts (x, y) for
+    (x, y)^(17/9), whose test ideal is R (Howald).
     """
     import pfractal.testideal as ti
 
@@ -227,15 +228,11 @@ def test_windowed_tau_keys_do_not_depend_on_the_power_route(monkeypatch):
 
     cases = [(fam, (c,)) for fam in families for c in grid(fam.gen_counts[0])]
     keys = [ideal_key(tau_mixed(fam, c)) for fam, c in cases]
-    chains = {}
 
-    def repeated_products(I, m):
-        chain = chains.setdefault(I, [IdealGens.unit(I.ring)])
-        while len(chain) <= m:
-            chain.append(ideal_product(chain[-1], I))
-        return chain[m]
+    def direct_root(fam, m, e):
+        return ideal_bracket_root(_product_of_powers(fam, m), FrobLevel(fam.ring.p, e))
 
-    monkeypatch.setattr(ti, "ideal_power", repeated_products)
+    monkeypatch.setattr(ti, "_carry_root", direct_root)
     assert [ideal_key(tau_mixed(fam, c)) for fam, c in cases] == keys
     assert keys[cases.index((families[0], (Fraction(17, 9),)))] == "x;y"
 
@@ -538,8 +535,57 @@ def test_principal_searches_take_each_digit_transition_once(staircase, maximal, 
     assert steps and len(steps) == len(set(steps))
 
 
+# (names, members): monomial, non-monomial, mixed and three-generator families,
+# and a member presented with a scalar multiple of its generator (over F_2 the
+# multiple is zero and drops out)
+_CARRY_FAMILIES = [
+    ("xy", [["x^2+y^3", "x^3"]]),
+    ("xy", [["x", "y"], ["x^2", "y^3"]]),
+    ("xy", [["x+y", "x^2", "y^2"]]),
+    ("xy", [["x^2+y^3", "x*y"], ["x+y"]]),
+    ("xyz", [["x*y", "y*z", "x*z"]]),
+    ("xy", [["x+y^2", "2*x+2*y^2"], ["x*y"]]),
+]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_carry_root_is_the_root_of_the_formed_product(p, e):
+    """(a^m)^[1/p^e] by carries has the reduced basis of the root of the formed product."""
+    rng = random.Random(1000 + 10 * p + e)
+    for names, members in _CARRY_FAMILIES:
+        ring = Ring(p, list(names))
+        fam = IdealFamily(ring, [_ideal(ring, *texts) for texts in members])
+        m = [rng.randint(0, p ** e + 2 * p) for _ in members]
+        direct = ideal_bracket_root(_product_of_powers(fam, m), FrobLevel(p, e))
+        assert buchberger(_carry_root(fam, m, e)).gens == buchberger(direct).gens, (members, m)
+
+
+@pytest.mark.parametrize("p,names,copies", [(2, "xy", 1), (3, "xyz", 1), (5, "xy", 1),
+                                            (3, "xy", 2)])
+def test_carry_root_of_a_maximal_power_at_deep_levels(p, names, copies):
+    """((x_1, ..., x_n)^N)^[1/q] = (x_1, ..., x_n)^max(0, ceil((N - n(q - 1)) / q)), to e = 12.
+
+    With two copies of the maximal ideal the family's product is a power of
+    it, split between the members, so carries run in both at once.
+    """
+    ring = Ring(p, list(names))
+    maximal = _ideal(ring, *names)
+    fam = IdealFamily(ring, [maximal] * copies)
+    n = len(names)
+    rng = random.Random(1100 + p + n + copies)
+    for e in range(1, 13):
+        q = p ** e
+        edges = [n * (q - 1) + k * q + j for k in range(3) for j in (0, 1)]
+        for N in edges + [rng.randrange((n + 2) * q) for _ in range(3)]:
+            split = [N // copies] * (copies - 1)
+            m = [N - sum(split)] + split
+            power = ideal_power(maximal, max(0, -((n * (q - 1) - N) // q)))
+            assert ideal_equal(_carry_root(fam, m, e), power), (e, m)
+
+
 def _redundant(fam):
-    """Each principal (g) presented as (g, -g): two generators take the product route."""
+    """Each principal (g) presented as (g, -g): two generators take the carry route."""
     return IdealFamily(fam.ring, [IdealGens(fam.ring, [a.gens[0], -a.gens[0]])
                                   for a in fam.ideals])
 
@@ -879,9 +925,8 @@ def test_one_search_f_threshold_matches_two_searches(make, r, e_max):
 def test_v_number_bisects_each_level_inside_its_bracket(make, r, monkeypatch):
     """v_number(e=3) climbs the chain: every level-3 probe lies in the bracket from v_2.
 
-    The exponents reaching _product_of_powers are the weighted product r
-    and then the probes m r; bracket_power marks where each level starts,
-    and each level's I^[p^e] is built once.
+    Each probe is one carry root (m r, e), read in level order 0, 1, 2, 3,
+    and every containment is decided against I itself: no I^[p^e] is built.
     """
     import pfractal.testideal as ti
 
@@ -889,42 +934,34 @@ def test_v_number_bisects_each_level_inside_its_bracket(make, r, monkeypatch):
     p = fam.ring.p
     s = len(reduce_to_single(fam, r).gens)
     v_2 = _brute_v(fam, r, I, 2)
-    log = []
-    product_of_powers, bracket = ti._product_of_powers, ti.bracket_power
+    probes, targets = [], []
+    carry_root, contains = ti._carry_root, ti.ideal_contains
 
-    def probed(fam, exponents):
-        log.append(tuple(exponents))
-        return product_of_powers(fam, exponents)
+    def probed(fam, exponents, e):
+        probes.append((tuple(exponents), e))
+        return carry_root(fam, exponents, e)
 
-    def levelled(I, level):
-        log.append(("level", level.e))
-        return bracket(I, level)
+    def judged(target, ideal):
+        targets.append(target)
+        return contains(target, ideal)
 
-    monkeypatch.setattr(ti, "_product_of_powers", probed)
-    monkeypatch.setattr(ti, "bracket_power", levelled)
+    monkeypatch.setattr(ti, "_carry_root", probed)
+    monkeypatch.setattr(ti, "ideal_contains", judged)
     v_number(fam, r, I, 3)
-    level_3 = log[log.index(("level", 3)) + 1:]
-    assert level_3 and all(exps == tuple(exps[0] // r[0] * r_i for r_i in r) for exps in level_3)
-    assert all(p * v_2 < exps[0] // r[0] <= p * (v_2 + 1) + (s - 1) * (p - 1) for exps in level_3)
-    assert [x for x in log if x[0] == "level"] == [("level", e) for e in (1, 2, 3)]
+    assert all(exps == tuple(exps[0] // r[0] * r_i for r_i in r) for exps, _ in probes)
+    levels = [e for _, e in probes]
+    assert levels == sorted(levels) and set(levels) == {0, 1, 2, 3}
+    level_3 = [exps[0] // r[0] for exps, e in probes if e == 3]
+    assert all(p * v_2 < m <= p * (v_2 + 1) + (s - 1) * (p - 1) for m in level_3)
+    assert targets and all(target is I for target in targets)
 
 
-def test_non_principal_level_past_a_machine_word_fails_before_any_search(monkeypatch):
-    """3^40 exceeds a machine word: (x, y) against itself probes no power but J itself."""
-    import pfractal.testideal as ti
-
+def test_non_principal_v_numbers_past_a_machine_word():
+    """3^40 exceeds a machine word: (x, y) against itself still has v_e = 2 * 3^e - 2."""
     fam, I = _maximal_against_itself()
-    product_of_powers = ti._product_of_powers
-
-    def only_r(fam, exponents):
-        if tuple(exponents) != (1,):
-            raise AssertionError(f"probe {tuple(exponents)} before the level check")
-        return product_of_powers(fam, exponents)
-
-    monkeypatch.setattr(ti, "_product_of_powers", only_r)
-    for search in (lambda: f_threshold(fam, (1,), I, 40), lambda: v_number(fam, (1,), I, 40)):
-        with pytest.raises(OverflowError, match=r"^p\^e = 3\^40 exceeds machine word$"):
-            search()
+    res = f_threshold(fam, (1,), I, 40)
+    assert res.values == tuple(Fraction(2 * 3 ** e - 2, 3 ** e) for e in range(1, 41))
+    assert v_number(fam, (1,), I, 41) == 2 * 3 ** 41 - 2
 
 
 def test_one_search_f_threshold_errors(F3xy, staircase, maximal):
